@@ -71,6 +71,31 @@ def write_json_atomic(path: PathLike, payload: Any) -> None:
     write_text_atomic(path, json.dumps(payload, sort_keys=True))
 
 
+def publish_json_exclusive(path: PathLike, payload: Any) -> bool:
+    """Publish ``payload`` at ``path`` unless something is already there.
+
+    The exclusive sibling of :func:`write_json_atomic`: the complete
+    artifact is written to a temporary sibling and hard-linked into
+    place, and :func:`os.link` fails when the name exists — so exactly
+    one of several racing writers wins, and the file never appears
+    without its content.  True when this call published it.
+    """
+    path = pathlib.Path(path)
+    tmp = tmp_sibling(path)
+    try:
+        tmp.write_bytes(json.dumps(payload, sort_keys=True).encode("ascii"))
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        return True
+    finally:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
 def read_json(path: PathLike) -> Optional[Any]:
     """Parse the JSON artifact at ``path``; ``None`` if absent/torn.
 

@@ -58,6 +58,12 @@ def _numpy_available() -> bool:
     return _columns._import_numpy() is not None
 
 
+#: The kernel ABI this source tree speaks; an extension built from an
+#: older ``_native.c`` (missing a kernel the dispatch seam calls) is
+#: treated as unbuilt rather than failing mid-sweep.
+NATIVE_ABI_VERSION = 4
+
+
 def native_module():
     """The compiled kernel extension module, or None when unbuilt.
 
@@ -71,7 +77,10 @@ def native_module():
         except ImportError:
             _native_module = None
         else:
-            _native_module = _native
+            if getattr(_native, "ABI_VERSION", None) == NATIVE_ABI_VERSION:
+                _native_module = _native
+            else:
+                _native_module = None
     return _native_module
 
 

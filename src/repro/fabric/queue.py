@@ -10,9 +10,12 @@ State machine of one cell (identified by its content key)::
                          ▼
                      quarantined (queue/failed/, with error log)
 
-Claims are files created with ``O_CREAT | O_EXCL`` — the one atomic
-primitive every POSIX filesystem (including NFS for ``open``'s
-``O_EXCL`` since v3) provides — so exactly one worker wins a cell.
+Claims are published with an exclusive hard link
+(:func:`~repro.common.atomicio.publish_json_exclusive`): the lease is
+written to a temporary sibling and linked onto the claim name, which
+fails when the name exists — an atomic primitive every POSIX
+filesystem (NFS included) provides — so exactly one worker wins a
+cell, and no worker ever sees a claim file before its content.
 A claim carries its worker's identity and a heartbeat timestamp the
 worker refreshes while executing; a claim whose heartbeat is older
 than the lease TTL is presumed dead and *reclaimed*: stolen via an
@@ -29,11 +32,16 @@ not precise.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.common.atomicio import read_json, write_json_atomic
+from repro.common.atomicio import (
+    publish_json_exclusive,
+    read_json,
+    write_json_atomic,
+)
 from repro.fabric.layout import FabricLayout, PathLike
 
 #: Heartbeats older than this many seconds mark a lease expired.
@@ -95,6 +103,16 @@ class Lease:
     claimed_at: float
 
 
+def _lease_payload(worker_id: str, claimed_at: float) -> Dict[str, Any]:
+    """The claim file's content: holder identity plus a fresh heartbeat."""
+    return {
+        "worker": worker_id,
+        "pid": os.getpid(),
+        "claimed_at": claimed_at,
+        "heartbeat": time.time(),
+    }
+
+
 class WorkQueue:
     """Filesystem-backed queue over one fabric directory."""
 
@@ -140,7 +158,12 @@ class WorkQueue:
         :meth:`has_work` to distinguish.
         """
         now = time.time()
-        for pending in sorted(self.layout.pending.glob("*.json")):
+        # Sort plain names: ordering Path objects costs more than the
+        # rest of a claim once thousands of cells are pending.
+        for name in sorted(os.listdir(self.layout.pending)):
+            if not name.endswith(".json"):
+                continue
+            pending = self.layout.pending / name
             key = pending.stem
             retry = read_json(self.layout.retry_path(key))
             if retry and retry.get("not_before", 0.0) > now:
@@ -149,43 +172,43 @@ class WorkQueue:
             if claim_path.exists():
                 self._reclaim_if_expired(key, now)
                 continue
-            try:
-                handle = os.open(
-                    claim_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
+            if not publish_json_exclusive(
+                claim_path, _lease_payload(worker_id, now)
+            ):
                 continue  # lost the race
-            os.close(handle)
             data = read_json(pending)
             if data is None:
-                # Completed (or torn) under us: drop the empty claim.
+                # Completed (or torn) under us: drop the claim.
                 os.unlink(claim_path)
                 continue
-            cell = Cell.from_dict(data)
-            lease = Lease(cell, worker_id, now)
-            self.heartbeat(lease)
-            return lease
+            return Lease(Cell.from_dict(data), worker_id, now)
         return None
 
     def heartbeat(self, lease: Lease) -> None:
         """Refresh the lease so reclamation knows the worker is alive."""
         write_json_atomic(
             self.layout.claim_path(lease.cell.key),
-            {
-                "worker": lease.worker_id,
-                "pid": os.getpid(),
-                "claimed_at": lease.claimed_at,
-                "heartbeat": time.time(),
-            },
+            _lease_payload(lease.worker_id, lease.claimed_at),
         )
 
     def _reclaim_if_expired(self, key: str, now: float) -> bool:
         """Steal an expired claim; True when this caller won the steal."""
         claim_path = self.layout.claim_path(key)
-        claim = read_json(claim_path)
-        if claim is None:
-            # Torn or just-removed claim file: a torn one can never
-            # heartbeat again, so treat it as expired immediately.
+        try:
+            with open(claim_path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            return False  # completed or released under us
+        except OSError:
+            raw = b""
+        try:
+            claim = json.loads(raw)
+        except ValueError:
+            claim = None
+        if not isinstance(claim, dict):
+            # Claims are published whole, so an unparsable one was
+            # damaged from outside and can never heartbeat again:
+            # treat it as expired immediately.
             age = self.lease_ttl + 1.0
             holder = "unknown"
         else:

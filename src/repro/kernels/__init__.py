@@ -33,6 +33,11 @@ are mutated in place to the exact values the Python loops produce.
   policies: Owner, Broadcast-if-shared, Owner-group, Sticky-spatial
   (:func:`repro.protocols.fused.run_kernel` with each policy's
   ``fused_kernel`` closures);
+- ``baseline_replay`` — the directory and broadcast-snooping replays
+  (:meth:`repro.protocols.base.CoherenceProtocol._run_columns` over
+  the stock ``DirectoryProtocol._handle_fast`` /
+  ``BroadcastSnoopingProtocol._handle_fast`` kernels), sharing the
+  policy replays' MOSI ordering step;
 - ``collector`` — the chunk-consuming cache/MOSI filter
   (:meth:`repro.cache.pipeline.TraceCollector.process_chunk`),
   session-based so cache state stays native across chunks;
@@ -146,6 +151,21 @@ def try_policy_replay(proto, trace, out=None) -> bool:
     from repro.kernels import native
 
     return native.policy_replay(proto, trace, out)
+
+
+def try_baseline_replay(proto, trace, out=None) -> bool:
+    """Run a directory/snooping replay natively; False -> fall back.
+
+    Only stock baselines are eligible: a protocol whose
+    ``_handle_fast`` is anything but the directory or snooping kernel
+    (a multicast protocol, an overriding subclass) keeps the Python
+    loop without counting a decline.
+    """
+    if not _backend.native_active():
+        return False
+    from repro.kernels import native
+
+    return native.baseline_replay(proto, trace, out)
 
 
 def try_timing_pass(simulator, measured, out) -> bool:

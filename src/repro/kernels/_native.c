@@ -5,6 +5,9 @@
  *                          run_kernel for the five compiled policies
  *                          (Group, Owner, Broadcast-if-shared,
  *                          Owner-group, Sticky-spatial)
+ *   baseline_replay      — mirror of CoherenceProtocol._run_columns
+ *                          over the directory and broadcast-snooping
+ *                          _handle_fast kernels
  *   timing_pass          — mirror of TimingSimulator._timing_pass_simple
  *   timing_pass_detailed — the same crossbar pass with the detailed
  *                          (bounded-outstanding-miss) processor model
@@ -17,7 +20,8 @@
  * equivalence suites are the oracle.
  *
  * Envelope: replay destination-set bitmasks are carried in two uint64
- * words, so policy_replay accepts node counts <= 128; the chunk
+ * words, so policy_replay and baseline_replay accept node counts
+ * <= 128 (both order requests through one mosi_order step); the chunk
  * collector keeps the original <= 62-node single-lane envelope (its
  * sharer masks live in one int64 map value).  Addresses/pcs are
  * non-negative (the trace container's documented invariant) and the
@@ -333,7 +337,7 @@ floormod64(int64_t x, int64_t m)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-timing_pass(PyObject *self, PyObject *args)
+timing_pass(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer req, instr, lat, tb, clocks, link;
     double bandwidth, per_ns, queue_ns;
@@ -466,7 +470,7 @@ heappop_d(double *h, int32_t *len)
 }
 
 static PyObject *
-timing_pass_detailed(PyObject *self, PyObject *args)
+timing_pass_detailed(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer req, instr, lat, tb, clocks, link, heaps, hlens;
     int max_out;
@@ -1196,6 +1200,63 @@ mosi_sync(I64Map *m, PyObject *state)
     return 0;
 }
 
+/* Order one request on the global MOSI map — the C twin of
+ * GlobalCoherenceState.apply_fast, shared by every replay kernel.
+ * Sets the responder (-1 = memory) and the two-lane required mask
+ * (processors that must observe the request).  Returns -1 when the
+ * map cannot grow. */
+static inline int
+mosi_order(I64Map *mosi, int64_t block, int32_t requester, int32_t code,
+           int64_t *responder, uint64_t *req_lo, uint64_t *req_hi)
+{
+    int64_t owner;
+    uint64_t sh_lo, sh_hi;
+    Py_ssize_t slot = map_find(mosi, block);
+    if (slot < 0) {
+        owner = -1;
+        sh_lo = 0;
+        sh_hi = 0;
+    }
+    else {
+        owner = mosi->v1[slot];
+        sh_lo = (uint64_t)mosi->v2[slot];
+        sh_hi = (uint64_t)mosi->v3[slot];
+    }
+    uint64_t reqbit_lo = 0, reqbit_hi = 0;
+    bit128_set(&reqbit_lo, &reqbit_hi, requester);
+    *req_lo = 0;
+    *req_hi = 0;
+    if (owner >= 0 && owner != requester) {
+        bit128_set(req_lo, req_hi, (int)owner);
+        *responder = owner;
+    }
+    else {
+        *responder = -1;
+    }
+    int64_t new_owner, new_lo, new_hi;
+    if (code) {
+        *req_lo |= sh_lo & ~reqbit_lo;
+        *req_hi |= sh_hi & ~reqbit_hi;
+        new_owner = requester;
+        new_lo = 0;
+        new_hi = 0;
+    }
+    else if (owner != requester) {
+        new_owner = owner;
+        new_lo = (int64_t)(sh_lo | reqbit_lo);
+        new_hi = (int64_t)(sh_hi | reqbit_hi);
+    }
+    else {
+        return 0;
+    }
+    if (slot < 0)
+        return map_put3(mosi, block, new_owner, new_lo, new_hi);
+    mosi->v1[slot] = new_owner; /* update in place: no second probe */
+    mosi->v2[slot] = new_lo;
+    mosi->v3[slot] = new_hi;
+    return 0;
+}
+
 /* GroupPredictor._train's decay branch (rollover wrap). */
 static void
 group_decay(GTable *t, int32_t e, int n_nodes, int32_t thr)
@@ -1518,7 +1579,7 @@ done:
 }
 
 static PyObject *
-policy_replay(PyObject *self, PyObject *args)
+policy_replay(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer addr_b, pc_b, req_b, acc_b;
     int policy, n_nodes, block_shift, use_pc, gshift;
@@ -1800,43 +1861,12 @@ policy_replay(PyObject *self, PyObject *args)
             }
 
             /* Order on the global MOSI state (apply_fast). */
-            int64_t owner;
-            uint64_t sh_lo, sh_hi;
-            Py_ssize_t mslot = map_find(&mosi, block);
-            if (mslot < 0) {
-                owner = -1;
-                sh_lo = 0;
-                sh_hi = 0;
-            }
-            else {
-                owner = mosi.v1[mslot];
-                sh_lo = (uint64_t)mosi.v2[mslot];
-                sh_hi = (uint64_t)mosi.v3[mslot];
-            }
-            uint64_t req_lo = 0, req_hi = 0;
             int64_t responder;
-            if (owner >= 0 && owner != requester) {
-                bit128_set(&req_lo, &req_hi, (int)owner);
-                responder = owner;
-            }
-            else {
-                responder = -1;
-            }
-            if (code) {
-                req_lo |= sh_lo & notreq_lo;
-                req_hi |= sh_hi & notreq_hi;
-                if (map_put3(&mosi, block, requester, 0, 0) < 0) {
-                    oom = 1;
-                    goto compute_halt;
-                }
-            }
-            else if (owner != requester) {
-                if (map_put3(&mosi, block, owner,
-                             (int64_t)(sh_lo | reqbit_lo),
-                             (int64_t)(sh_hi | reqbit_hi)) < 0) {
-                    oom = 1;
-                    goto compute_halt;
-                }
+            uint64_t req_lo, req_hi;
+            if (mosi_order(&mosi, block, requester, code, &responder,
+                           &req_lo, &req_hi) < 0) {
+                oom = 1;
+                goto compute_halt;
             }
 
             int64_t dcount = popcount128(dest_lo, dest_hi);
@@ -2124,6 +2154,177 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* baseline_replay: mirror of CoherenceProtocol._run_columns over      */
+/* DirectoryProtocol._handle_fast / BroadcastSnoopingProtocol.         */
+/* _handle_fast.                                                       */
+/* ------------------------------------------------------------------ */
+
+/* The baseline protocol ids, mirrored in repro/kernels/native.py. */
+#define BASELINE_DIRECTORY 0
+#define BASELINE_SNOOPING 1
+
+/* Returns (misses, indirections, request_messages, forward_messages,
+ * latency_ns_sum, latency bytes | None, transfer bytes | None), or
+ * None when the MOSI map or a record is outside the envelope (no
+ * Python state touched).  lat_remote is the latency of a cache
+ * responder: the 3-hop indirect latency for the directory, the direct
+ * cache-to-cache latency for snooping. */
+static PyObject *
+baseline_replay(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer addr_b, req_b, acc_b;
+    int protocol, n_nodes, block_shift, want_out;
+    long long block_mask_ll, control_ll, data_ll;
+    double lat_mem, lat_remote, latency_sum;
+    PyObject *state_obj;
+
+    if (!PyArg_ParseTuple(args, "iy*y*y*iLiOddLLdi", &protocol, &addr_b,
+                          &req_b, &acc_b, &n_nodes, &block_mask_ll,
+                          &block_shift, &state_obj, &lat_mem, &lat_remote,
+                          &control_ll, &data_ll, &latency_sum, &want_out))
+        return NULL;
+
+    PyObject *result = NULL;
+    I64Map mosi;
+    mosi.keys = NULL;
+    double *lat_out = NULL;
+    int64_t *tb_out = NULL;
+    int fallback = 0;
+
+    Py_ssize_t nrec = req_b.len / (Py_ssize_t)sizeof(int32_t);
+    const int64_t block_mask = (int64_t)block_mask_ll;
+    const int64_t control = (int64_t)control_ll;
+    const int64_t data_size = (int64_t)data_ll;
+
+    if (addr_b.len != nrec * (Py_ssize_t)sizeof(int64_t)
+        || acc_b.len != nrec || n_nodes <= 0 || n_nodes > 128
+        || block_shift < 0 || block_shift > 62
+        || (protocol != BASELINE_DIRECTORY
+            && protocol != BASELINE_SNOOPING)) {
+        PyErr_SetString(PyExc_ValueError, "baseline_replay: bad arguments");
+        goto done;
+    }
+    {
+        int rc = mosi_load(&mosi, state_obj, n_nodes, /*allow_wide=*/1);
+        if (rc < 0)
+            goto done;
+        if (rc > 0) {
+            fallback = 1;
+            goto done;
+        }
+    }
+    if (want_out) {
+        lat_out = PyMem_RawMalloc((size_t)(nrec ? nrec : 1) * sizeof(double));
+        tb_out = PyMem_RawMalloc((size_t)(nrec ? nrec : 1) * sizeof(int64_t));
+        if (!lat_out || !tb_out) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+
+    {
+        const int64_t *addrs = addr_b.buf;
+        const int32_t *reqs = req_b.buf;
+        const int8_t *accs = acc_b.buf;
+        const int directory = protocol == BASELINE_DIRECTORY;
+        int64_t indirections = 0;
+        int64_t request_sum = 0;
+        int64_t forward_sum = 0;
+        int oom = 0;
+        int off_envelope = 0;
+
+        Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t i = 0; i < nrec; i++) {
+            const int64_t address = addrs[i];
+            const int32_t requester = reqs[i];
+            /* The trace invariant (non-negative addresses, requesters
+             * in range) is what keeps the map keys clear of its
+             * sentinels and the masks inside two lanes. */
+            if (address < 0 || requester < 0 || requester >= n_nodes) {
+                off_envelope = 1;
+                break;
+            }
+            const int64_t block = address & block_mask;
+            int64_t responder;
+            uint64_t req_lo, req_hi;
+            if (mosi_order(&mosi, block, requester, accs[i], &responder,
+                           &req_lo, &req_hi) < 0) {
+                oom = 1;
+                break;
+            }
+            int64_t requests, forwards;
+            double lat;
+            if (directory) {
+                const int32_t home =
+                    (int32_t)((block >> block_shift) % n_nodes);
+                requests = home == requester ? 0 : 1;
+                forwards = popcount128(req_lo, req_hi);
+                indirections += forwards != 0;
+            }
+            else {
+                requests = n_nodes - 1;
+                forwards = 0;
+            }
+            lat = responder == -1 ? lat_mem : lat_remote;
+            request_sum += requests;
+            forward_sum += forwards;
+            latency_sum += lat;
+            if (want_out) {
+                lat_out[i] = lat;
+                tb_out[i] = (requests + forwards) * control + data_size;
+            }
+        }
+        Py_END_ALLOW_THREADS
+        if (oom) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        if (off_envelope) {
+            fallback = 1;
+            goto done;
+        }
+
+        if (mosi_sync(&mosi, state_obj) < 0)
+            goto done;
+        PyObject *lat_bytes = Py_None;
+        PyObject *tb_bytes = Py_None;
+        Py_INCREF(Py_None);
+        Py_INCREF(Py_None);
+        if (want_out) {
+            Py_DECREF(Py_None);
+            Py_DECREF(Py_None);
+            lat_bytes = PyBytes_FromStringAndSize(
+                (const char *)lat_out, nrec * (Py_ssize_t)sizeof(double));
+            tb_bytes = PyBytes_FromStringAndSize(
+                (const char *)tb_out, nrec * (Py_ssize_t)sizeof(int64_t));
+            if (!lat_bytes || !tb_bytes) {
+                Py_XDECREF(lat_bytes);
+                Py_XDECREF(tb_bytes);
+                goto done;
+            }
+        }
+        result = Py_BuildValue(
+            "LLLLdNN", (long long)nrec, (long long)indirections,
+            (long long)request_sum, (long long)forward_sum, latency_sum,
+            lat_bytes, tb_bytes);
+    }
+
+done:
+    if (fallback && !PyErr_Occurred()) {
+        result = Py_None;
+        Py_INCREF(Py_None);
+    }
+    if (mosi.keys)
+        map_free(&mosi);
+    PyMem_RawFree(lat_out);
+    PyMem_RawFree(tb_out);
+    PyBuffer_Release(&addr_b);
+    PyBuffer_Release(&req_b);
+    PyBuffer_Release(&acc_b);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 /* Collector: mirror of TraceCollector.process_chunk with the cache    */
 /* LRU arrays and MOSI map held natively across chunks.                */
 /* ------------------------------------------------------------------ */
@@ -2160,7 +2361,7 @@ ncollector_dealloc(NCollector *self)
 }
 
 static PyObject *
-ncollector_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+ncollector_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwds))
 {
     int n_procs, block_shift;
     long long block_mask;
@@ -2775,15 +2976,17 @@ static PyMethodDef native_methods[] = {
     {"policy_replay", policy_replay, METH_VARARGS,
      "Fused multicast replay over trace columns for one of the five"
      " compiled predictor policies."},
+    {"baseline_replay", baseline_replay, METH_VARARGS,
+     "Directory or broadcast-snooping replay over trace columns."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
-    "repro.kernels._native",
-    "Compiled kernel backend (see repro.kernels for the ABI).",
-    -1,
-    native_methods,
+    .m_name = "repro.kernels._native",
+    .m_doc = "Compiled kernel backend (see repro.kernels for the ABI).",
+    .m_size = -1,
+    .m_methods = native_methods,
 };
 
 PyMODINIT_FUNC
@@ -2803,13 +3006,17 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 3) < 0
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 4) < 0
         || PyModule_AddIntConstant(m, "POLICY_GROUP", POLICY_GROUP) < 0
         || PyModule_AddIntConstant(m, "POLICY_OWNER", POLICY_OWNER) < 0
         || PyModule_AddIntConstant(m, "POLICY_BIFS", POLICY_BIFS) < 0
         || PyModule_AddIntConstant(m, "POLICY_OWNER_GROUP",
                                    POLICY_OWNER_GROUP) < 0
-        || PyModule_AddIntConstant(m, "POLICY_STICKY", POLICY_STICKY) < 0) {
+        || PyModule_AddIntConstant(m, "POLICY_STICKY", POLICY_STICKY) < 0
+        || PyModule_AddIntConstant(m, "BASELINE_DIRECTORY",
+                                   BASELINE_DIRECTORY) < 0
+        || PyModule_AddIntConstant(m, "BASELINE_SNOOPING",
+                                   BASELINE_SNOOPING) < 0) {
         Py_DECREF(m);
         return NULL;
     }

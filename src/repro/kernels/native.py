@@ -9,7 +9,7 @@ Python tier on every observable (ResultSet JSON, predictor tables,
 cache/MOSI state, hex-float timing goldens).
 
 Callers come through :mod:`repro.kernels` (``try_group_replay`` /
-``try_policy_replay`` / ``try_timing_pass`` /
+``try_policy_replay`` / ``try_baseline_replay`` / ``try_timing_pass`` /
 ``try_timing_pass_detailed`` / ``collector_session``), which has
 already established that the native tier is active.  Every decline is
 recorded via :func:`repro.kernels.record_decline` so sweeps can report
@@ -349,6 +349,109 @@ def policy_replay(proto, trace, out=None) -> bool:
     # anything else has no native twin.
     _kernels.record_decline("policy_replay", "envelope")
     return False
+
+
+# ----------------------------------------------------------------------
+# baseline replay: CoherenceProtocol._run_columns over the directory /
+# broadcast-snooping ``_handle_fast`` kernels
+# ----------------------------------------------------------------------
+
+def _baseline_kind(proto):
+    """(extension protocol id, cache-responder latency) for a stock
+    baseline, or None when ``proto`` replays through any other
+    ``_handle_fast`` (a multicast protocol or an overriding subclass)."""
+    from repro.protocols.directory import DirectoryProtocol
+    from repro.protocols.snooping import BroadcastSnoopingProtocol
+
+    handle_fast = type(proto)._handle_fast
+    if (
+        isinstance(proto, DirectoryProtocol)
+        and handle_fast is DirectoryProtocol._handle_fast
+    ):
+        return _ext().BASELINE_DIRECTORY, proto._lat_indirect
+    if (
+        isinstance(proto, BroadcastSnoopingProtocol)
+        and handle_fast is BroadcastSnoopingProtocol._handle_fast
+    ):
+        return _ext().BASELINE_SNOOPING, proto._lat_direct
+    return None
+
+
+def baseline_replay(proto, trace, out=None) -> bool:
+    """Native directory / broadcast-snooping replay.
+
+    False -> the caller runs the Python ``_handle_fast`` loop.  Only a
+    protocol whose ``_handle_fast`` is exactly the stock directory or
+    snooping kernel is eligible (no decline is counted for the rest:
+    they have no native twin to decline from); the envelope on top:
+    <= 128 nodes (two uint64 mask lanes), a power-of-two block size
+    (block keys are masks and the home node a shift), and a MOSI map
+    and trace columns the int64 lanes can carry.
+    """
+    from repro.coherence.state import GlobalCoherenceState
+
+    kind = _baseline_kind(proto) if proto._fast_ok else None
+    if kind is None:
+        return False
+    protocol, lat_remote = kind
+    n = proto.config.n_processors
+    block_size = proto.config.block_size
+    columns = _trace_columns(trace)
+    if (
+        n > _MAX_NATIVE_NODES
+        or block_size <= 0
+        or block_size & (block_size - 1)
+        or type(proto.state) is not GlobalCoherenceState
+        or columns is None
+    ):
+        _kernels.record_decline("baseline_replay", "envelope")
+        return False
+    addresses, _, requesters, accesses = columns
+    totals = proto.totals
+    control = proto.traffic.control_bytes
+    data_size = proto.traffic.data_bytes
+    result = _ext().baseline_replay(
+        protocol,
+        addresses,
+        requesters,
+        accesses,
+        n,
+        ~(block_size - 1),
+        block_size.bit_length() - 1,
+        proto.state._blocks,
+        proto._lat_memory,
+        lat_remote,
+        control,
+        data_size,
+        totals.latency_ns_sum,
+        0 if out is None else 1,
+    )
+    if result is None:
+        # A MOSI entry or trace record outside the int64/two-lane
+        # envelope; nothing was touched.
+        _kernels.record_decline("baseline_replay", "overflow")
+        return False
+    (
+        misses,
+        indirections,
+        request_messages,
+        forward_messages,
+        latency_sum,
+        lat_bytes,
+        tb_bytes,
+    ) = result
+    if out is not None:
+        out.latency_ns.frombytes(lat_bytes)
+        out.transfer_bytes.frombytes(tb_bytes)
+    traffic_bytes = (
+        (request_messages + forward_messages) * control
+        + misses * data_size
+    )
+    totals.add_batch(
+        misses, indirections, request_messages, forward_messages, 0,
+        misses, traffic_bytes, latency_sum, 0,
+    )
+    return True
 
 
 # ----------------------------------------------------------------------

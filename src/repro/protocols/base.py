@@ -25,6 +25,7 @@ import enum
 from array import array
 from typing import Optional
 
+from repro import kernels
 from repro.common.params import LatencyModel, SystemConfig, TrafficModel
 from repro.coherence.state import CoherenceOutcome, GlobalCoherenceState
 from repro.trace.record import TraceRecord
@@ -277,9 +278,14 @@ class CoherenceProtocol(abc.ABC):
 
         With ``out``, per-record latency and link-transfer bytes are
         appended to its columns for downstream batch consumers (the
-        timing simulator's second pass).
+        timing simulator's second pass).  The stock directory and
+        snooping kernels replay natively when the native tier is
+        active (:func:`repro.kernels.try_baseline_replay`); everything
+        else, and every native decline, runs the loop below.
         """
         self._prepare_fast_run()
+        if kernels.try_baseline_replay(self, trace, out):
+            return
         handle_fast = self._handle_fast
         control = self.traffic.control_bytes
         data_size = self.traffic.data_bytes

@@ -51,6 +51,22 @@ def test_auto_with_unbuilt_native_stays_silent(
         assert _backend.resolve_env() in ("numpy", "pure")
 
 
+def test_stale_extension_abi_counts_as_unbuilt(monkeypatch):
+    """An extension built from an older ``_native.c`` (a different
+    ``ABI_VERSION``, possibly missing kernels the dispatch seam calls)
+    is treated as absent rather than failing mid-sweep."""
+    import sys
+    import types
+
+    stale = types.ModuleType("repro.kernels._native")
+    stale.ABI_VERSION = _backend.NATIVE_ABI_VERSION - 1
+    monkeypatch.setitem(sys.modules, "repro.kernels._native", stale)
+    monkeypatch.setattr(kernels, "_native", stale, raising=False)
+    monkeypatch.setattr(_backend, "_native_module", False)
+    assert _backend.native_module() is None
+    assert not _backend.native_available()
+
+
 def test_decline_counters_tally_per_kernel_and_reason():
     kernels.reset_decline_counts()
     try:

@@ -13,8 +13,9 @@ silently truncate:
 - the native replay kernels accept 63-128-node geometries (two
   uint64 destination-set lanes) byte-identically to the Python tier,
   and decline (fall back, never truncate) past 128 nodes or when
-  table keys leave the int64 envelope; the native collector keeps its
-  single-word <= 62 envelope.
+  table keys or MOSI-map entries leave the int64 envelope — the
+  directory/snooping ``baseline_replay`` kernel included; the native
+  collector keeps its single-word <= 62 envelope.
 """
 
 import random
@@ -214,3 +215,97 @@ def test_native_group_replay_declines_overflowing_keys():
         pass  # ensure backend module is initialised
     assert not native.group_replay(proto, trace, out=None)
     assert table._entries == before  # untouched by the declined call
+
+
+BASELINE_LABELS = ("directory", "broadcast-snooping")
+
+
+def _baseline(label, config):
+    from repro.protocols.directory import DirectoryProtocol
+    from repro.protocols.snooping import BroadcastSnoopingProtocol
+
+    if label == "directory":
+        return DirectoryProtocol(config)
+    return BroadcastSnoopingProtocol(config)
+
+
+@pytest.mark.parametrize("n_nodes", WIDE_NATIVE_NODE_COUNTS)
+@pytest.mark.parametrize("label", BASELINE_LABELS)
+def test_native_baseline_replay_accepts_wide_systems(label, n_nodes):
+    """63-128-node directory/snooping replays run natively,
+    byte-identical to the Python loop."""
+    from repro.common.params import SystemConfig
+    from repro import kernels
+
+    if not kernels.native_available():
+        pytest.skip("native kernel extension not built")
+    from repro.common import backend as _backend
+    from repro.kernels import native
+    from repro.protocols.base import OutcomeColumns
+
+    config = SystemConfig(n_processors=n_nodes)
+    trace = _wide_trace(n_nodes)
+
+    proto_native = _baseline(label, config)
+    out_native = OutcomeColumns()
+    kernels.reset_decline_counts()
+    assert native.baseline_replay(proto_native, trace, out_native)
+    assert kernels.decline_counts() == {}
+
+    proto_pure = _baseline(label, config)
+    out_pure = OutcomeColumns()
+    with _backend.use("pure"):
+        proto_pure._run_columns(trace, out_pure)
+
+    assert out_native.latency_ns.tobytes() == out_pure.latency_ns.tobytes()
+    assert (
+        out_native.transfer_bytes.tobytes()
+        == out_pure.transfer_bytes.tobytes()
+    )
+    assert proto_native.totals == proto_pure.totals
+    assert proto_native.state._blocks == proto_pure.state._blocks
+
+
+@pytest.mark.parametrize("label", BASELINE_LABELS)
+def test_native_baseline_replay_declines_past_envelope(label):
+    """Past 128 nodes, or with a MOSI entry the int64 lanes cannot
+    carry, the baseline kernel declines with every Python structure
+    untouched, counts the decline, and the Python loop takes over."""
+    from repro.common.params import SystemConfig
+    from repro import kernels
+
+    if not kernels.native_available():
+        pytest.skip("native kernel extension not built")
+    from repro.common import backend as _backend
+    from repro.kernels import native
+    from repro.protocols.base import TrafficTotals
+
+    wide = SystemConfig(n_processors=129)
+    proto = _baseline(label, wide)
+    proto.state._blocks[0] = (128, 1 << 127)
+    before = dict(proto.state._blocks)
+    trace = _wide_trace(129, records=50)
+    kernels.reset_decline_counts()
+    assert not native.baseline_replay(proto, trace)
+    assert proto.state._blocks == before
+    assert proto.totals == TrafficTotals()
+    assert kernels.decline_counts() == {"baseline_replay:envelope": 1}
+
+    config = SystemConfig(n_processors=4)
+    trace = _wide_trace(4, records=50)
+    expected = _baseline(label, config)
+    expected.state._blocks[1 << 70] = (0, 1)
+    with _backend.use("pure"):
+        expected.run(trace)
+    proto = _baseline(label, config)
+    proto.state._blocks[1 << 70] = (0, 1)  # beyond any int64 lane
+    before = dict(proto.state._blocks)
+    kernels.reset_decline_counts()
+    assert not native.baseline_replay(proto, trace)
+    assert proto.state._blocks == before
+    assert kernels.decline_counts() == {"baseline_replay:overflow": 1}
+    with _backend.use("native"):
+        proto.run(trace)  # declines again, then the Python loop runs
+    assert kernels.decline_counts() == {"baseline_replay:overflow": 2}
+    assert proto.totals == expected.totals
+    assert proto.state._blocks == expected.state._blocks

@@ -2,11 +2,14 @@
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.common.atomicio import (
+    publish_json_exclusive,
     read_json,
     tmp_sibling,
     write_json_atomic,
@@ -49,6 +52,13 @@ class TestAtomicIO:
         path = tmp_path / "artifact.json"
         write_json_atomic(path, {"value": 1})
         assert read_json(path) == {"value": 1}
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_publish_json_exclusive_first_writer_wins(self, tmp_path):
+        path = tmp_path / "claim.json"
+        assert publish_json_exclusive(path, {"worker": "a"})
+        assert not publish_json_exclusive(path, {"worker": "b"})
+        assert read_json(path) == {"worker": "a"}
         assert list(tmp_path.iterdir()) == [path]
 
     def test_tmp_siblings_are_unique(self, tmp_path):
@@ -222,6 +232,59 @@ class TestWorkQueue:
             time.sleep(0.6)
             lease = queue.claim("w2")
         assert lease is not None
+
+    def test_concurrent_claims_never_steal_live_leases(self, tmp_path):
+        """Two threads draining no-op cells record no reclaim at all.
+
+        A claim file must carry its lease from the moment it appears;
+        a claimer that could observe it empty would take it for torn
+        and steal a live lease, leaving a spurious retry behind.
+        """
+        n_cells = 2000
+        steals = []
+
+        class CountingQueue(WorkQueue):
+            def _reclaim_if_expired(self, key, now):
+                stolen = super()._reclaim_if_expired(key, now)
+                if stolen:
+                    steals.append(key)
+                return stolen
+
+        queue = CountingQueue(tmp_path)
+        for index in range(n_cells):
+            queue.enqueue(make_cell(key=f"cell-{index:05d}", index=index))
+        completed = []
+
+        def drain(worker_id):
+            while True:
+                lease = queue.claim(worker_id)
+                if lease is None:
+                    if not queue.has_work():
+                        return
+                    continue
+                queue.complete(lease)
+                completed.append(lease.cell.key)
+
+        workers = [
+            threading.Thread(target=drain, args=(f"w{i}",))
+            for i in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the claimers finely
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert steals == []
+        assert list(queue.layout.retries.glob("*.json")) == []
+        assert sorted(completed) == sorted(
+            f"cell-{index:05d}" for index in range(n_cells)
+        )
+        assert queue.status()["done"] == n_cells
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
