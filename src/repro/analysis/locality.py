@@ -16,8 +16,8 @@ from repro.analysis.sharing import (
     DEFAULT_BLOCK_SIZE,
     _required_counts_cached,
 )
+from repro.common import backend as _backend
 from repro.coherence.state import GlobalCoherenceState
-from repro.trace import columns as _columns
 from repro.trace.trace import Trace
 
 
@@ -126,7 +126,7 @@ def locality_cdf(
     from the shared vectorized MOSI replay and the per-entity counts
     from ``unique``; identical to :func:`locality_cdf_records`.
     """
-    np_ = _columns.numpy_module()
+    np_ = _backend.numpy_module()
     if np_ is None or len(trace) == 0:
         return locality_cdf_records(
             trace, kind, block_size, macroblock_size, warmup_fraction

@@ -23,9 +23,9 @@ import collections
 import dataclasses
 from typing import Dict, Optional
 
+from repro.common import backend as _backend
 from repro.common.destset import popcount
 from repro.coherence.state import GlobalCoherenceState
-from repro.trace import columns as _columns
 from repro.trace.trace import Trace
 
 #: Figure 2 bins: 0, 1, 2, and 3-or-more other processors.
@@ -215,7 +215,7 @@ def sharing_histogram(
     """
     if block_size is None:
         block_size = DEFAULT_BLOCK_SIZE
-    np_ = _columns.numpy_module()
+    np_ = _backend.numpy_module()
     if np_ is None or len(trace) == 0:
         return sharing_histogram_records(
             trace, warmup_fraction, block_size
@@ -317,7 +317,7 @@ def degree_of_sharing(
     """
     if block_size is None:
         block_size = DEFAULT_BLOCK_SIZE
-    np_ = _columns.numpy_module()
+    np_ = _backend.numpy_module()
     if np_ is None or len(trace) == 0:
         return degree_of_sharing_records(trace, block_size)
     keys = np_.frombuffer(

@@ -10,11 +10,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List
 
+from repro.common import backend as _backend
 from repro.common.params import SystemConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.reference import MemoryReference
 from repro.coherence.state import GlobalCoherenceState
-from repro.trace import columns as _columns
 from repro.trace.trace import Trace
 
 
@@ -178,7 +178,7 @@ class TraceCollector:
         l1_assoc = hierarchies[0].l1.associativity
         l2_assoc = hierarchies[0].l2.associativity
 
-        np_ = _columns.numpy_module()
+        np_ = _backend.numpy_module()
         addresses_np = getattr(chunk, "addresses_np", None)
         if np_ is not None and addresses_np is not None:
             blocks_np = addresses_np & np_.int64(mask)

@@ -14,10 +14,7 @@ One switch selects how the hot loops execute:
 Resolution order:
 
 1. ``REPRO_BACKEND`` (``pure``/``numpy``/``native``/``auto``),
-2. ``REPRO_PURE_PYTHON=1`` — the **deprecated** back-compat alias for
-   ``REPRO_BACKEND=pure`` (kept because PR 2-6 CI legs and user
-   scripts set it; prefer ``REPRO_BACKEND`` in new code),
-3. auto-detection: ``native`` when the compiled extension imports,
+2. auto-detection: ``native`` when the compiled extension imports,
    else ``numpy`` when numpy imports, else ``pure``.
 
 Every tier produces byte-identical results (ResultSet JSON, predictor
@@ -25,10 +22,11 @@ tables, hex-float timing goldens) — the equivalence suites enforce it
 — so the switch is purely about speed.  Requesting an unavailable
 tier warns once and falls back down the list rather than failing.
 
-The module is also the single source of truth consulted by
-:mod:`repro.trace.columns` (column computation), :mod:`repro.kernels`
-(native kernel dispatch), the bench harness (``columns_backend`` in
-BENCH.json) and ``ResultSet.perf``.
+This module holds the one backend value the whole package reads:
+:mod:`repro.trace.columns` and the other vectorized paths ask
+:func:`numpy_module`, :mod:`repro.kernels` asks :func:`native_active`,
+and the bench harness (``columns_backend`` in BENCH.json) and
+``ResultSet.perf`` record :func:`backend_name`.
 """
 
 from __future__ import annotations
@@ -41,21 +39,39 @@ from typing import Iterator, Optional, Tuple
 #: The unified backend environment variable.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Deprecated alias: ``REPRO_PURE_PYTHON=1`` == ``REPRO_BACKEND=pure``.
-PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
-
 #: Registered backends, slowest floor first.
 BACKENDS: Tuple[str, ...] = ("pure", "numpy", "native")
 
 _active: Optional[str] = None
 _warned_native_missing = False
 _native_module = False  # sentinel: not probed yet
+_numpy = False  # sentinel: not probed yet
 
 
 def _numpy_available() -> bool:
-    from repro.trace import columns as _columns
+    """True when numpy imports (probed once per process)."""
+    global _numpy
+    if _numpy is False:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - exercised on no-numpy CI
+            _numpy = None
+        else:
+            _numpy = numpy
+    return _numpy is not None
 
-    return _columns._import_numpy() is not None
+
+def numpy_module():
+    """numpy when the active backend is not ``pure``, else None.
+
+    Also None when numpy is not importable.  The derived columns, the
+    batched generation engine and the analysis kernels consult this
+    once per call, so :func:`set_backend` switches every vectorized
+    path at once.
+    """
+    if backend_name() == "pure" or not _numpy_available():
+        return None
+    return _numpy
 
 
 #: The kernel ABI this source tree speaks; an extension built from an
@@ -89,6 +105,16 @@ def native_available() -> bool:
     return native_module() is not None
 
 
+def available_backends() -> Tuple[str, ...]:
+    """Backends usable on this machine, floor first."""
+    names = ["pure"]
+    if _numpy_available():
+        names.append("numpy")
+    if native_available():
+        names.append("native")
+    return tuple(names)
+
+
 def _warn_native_missing() -> None:
     global _warned_native_missing
     if _warned_native_missing:
@@ -108,8 +134,6 @@ def resolve_env() -> str:
     """Resolve the backend from the environment (no state change)."""
     value = os.environ.get(BACKEND_ENV, "").strip().lower()
     if value and value != "auto":
-        if value == "python":  # tolerated spelling of the pure tier
-            value = "pure"
         if value not in BACKENDS:
             raise ValueError(
                 f"unknown {BACKEND_ENV}={value!r}; "
@@ -127,10 +151,6 @@ def resolve_env() -> str:
             )
             return "pure"
         return value
-    if os.environ.get(PURE_PYTHON_ENV):
-        # Deprecated alias; honoured indefinitely for existing CI
-        # legs and scripts, but REPRO_BACKEND wins when both are set.
-        return "pure"
     if native_available():
         return "native"
     return "numpy" if _numpy_available() else "pure"
@@ -152,21 +172,13 @@ def native_active() -> bool:
 def set_backend(name: str) -> None:
     """Select the backend: ``pure``/``numpy``/``native``/``auto``.
 
-    Keeps :mod:`repro.trace.columns` in sync: ``pure`` forces the
-    pure-Python column path, everything else uses numpy columns when
-    importable.  Raises when an explicitly requested tier is
-    unavailable (``auto`` never raises).
+    ``auto`` re-runs the environment resolution.  Raises when an
+    explicitly requested tier is unavailable (``auto`` never raises).
     """
     global _active
-    from repro.trace import columns as _columns
-
     name = name.strip().lower()
-    if name == "python":
-        name = "pure"
     if name == "auto":
-        resolved = resolve_env()
-        _active = resolved
-        _columns._apply("python" if resolved == "pure" else "auto-numpy")
+        _active = resolve_env()
         return
     if name not in BACKENDS:
         raise ValueError(
@@ -181,25 +193,6 @@ def set_backend(name: str) -> None:
     if name == "numpy" and not _numpy_available():
         raise RuntimeError("numpy backend requested but not importable")
     _active = name
-    _columns._apply("python" if name == "pure" else "numpy-if-available")
-
-
-def _sync_from_columns(columns_name: str) -> None:
-    """Track a legacy :func:`repro.trace.columns.set_backend` call.
-
-    The column-level switch predates this module and is what the
-    equivalence suites parametrize over; selecting a column backend
-    there pins the matching Python tier here (so a suite comparing
-    "python" vs "numpy" really compares the Python loops, never the
-    native kernels), and ``auto`` re-runs the env resolution.
-    """
-    global _active
-    if columns_name == "python":
-        _active = "pure"
-    elif columns_name == "numpy":
-        _active = "numpy"
-    else:  # "auto"
-        _active = resolve_env()
 
 
 @contextlib.contextmanager

@@ -580,7 +580,7 @@ def run_suite(
 
     # Pin the regular entries to a Python tier and twin the native-
     # accelerated hot paths (see NATIVE_BENCH_ENTRIES).  An explicit
-    # pure/numpy selection is honoured as-is (REPRO_PURE_PYTHON=1 must
+    # pure/numpy selection is honoured as-is (REPRO_BACKEND=pure must
     # measure the pure floor); under the native backend the regular
     # entries run on the fastest *Python* tier so the cross-commit
     # trajectory stays comparable and the native twins have a

@@ -288,9 +288,14 @@ def normalize_records(
 
 
 def _run_job_worker(
-    spec_dict: dict, index: int, cache_dir: Optional[str]
+    spec_dict: dict, index: int, cache_dir: Optional[str], backend: str
 ) -> Tuple[int, List[dict], int, Optional[dict]]:
-    """Process-pool entry point (module-level, hence picklable)."""
+    """Process-pool entry point (module-level, hence picklable).
+
+    ``backend`` is the parent run's backend: a spawned child would
+    otherwise re-resolve it from its own environment.
+    """
+    _backend.set_backend(backend)
     spec = ExperimentSpec.from_dict(spec_dict)
     corpus = make_corpus(spec.system_config, cache_dir)
     records, processed, failure = run_cell(
@@ -305,7 +310,7 @@ def _run_job_worker(
 
 
 def _warm_trace_worker(
-    spec_dict: dict, workload: str, seed: int, cache_dir: str
+    spec_dict: dict, workload: str, seed: int, cache_dir: str, backend: str
 ) -> Dict[str, int]:
     """Ensure one (workload, seed) trace is in the disk cache.
 
@@ -314,6 +319,7 @@ def _warm_trace_worker(
     graceful per-cell path, instead of the warm phase aborting the
     pool before any cell has run.
     """
+    _backend.set_backend(backend)
     spec = ExperimentSpec.from_dict(spec_dict)
     corpus = make_corpus(spec.system_config, cache_dir)
     try:
@@ -524,6 +530,7 @@ class Runner:
         self, spec: ExperimentSpec, jobs: Tuple[Job, ...], cache_dir: str
     ) -> ResultSet:
         spec_dict = spec.to_dict()
+        backend = _backend.backend_name()
         by_index: Dict[int, List[ResultRecord]] = {}
         failures_by_index: Dict[int, CellFailure] = {}
         stats = CacheStats()
@@ -542,7 +549,7 @@ class Runner:
             warm = [
                 pool.submit(
                     _warm_trace_worker, spec_dict, workload, seed,
-                    cache_dir,
+                    cache_dir, backend,
                 )
                 for workload, seed in cells
             ]
@@ -551,7 +558,8 @@ class Runner:
             # Phase 2: the per-label cells (cache hits by now).
             futures = [
                 pool.submit(
-                    _run_job_worker, spec_dict, job.index, cache_dir
+                    _run_job_worker, spec_dict, job.index, cache_dir,
+                    backend,
                 )
                 for job in jobs
             ]
@@ -577,7 +585,7 @@ class Runner:
         # serial path can report them (PerfStats.native_declines stays
         # empty here by design).
         return ResultSet(
-            spec, records, stats, PerfStats(processed, elapsed, _backend.backend_name()),
+            spec, records, stats, PerfStats(processed, elapsed, backend),
             failures=failures,
         )
 

@@ -168,11 +168,13 @@ def serve(
         import multiprocessing
         import os
 
+        from repro.common.backend import backend_name
+
         options = worker_options or WorkerOptions(follow=True)
         pool = [
             multiprocessing.Process(
                 target=_worker_entry,
-                args=(os.fspath(fabric_dir), options),
+                args=(os.fspath(fabric_dir), options, backend_name()),
                 daemon=True,
             )
             for _ in range(workers)

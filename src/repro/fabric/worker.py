@@ -35,6 +35,7 @@ import time
 import traceback
 from typing import Dict, Optional
 
+from repro.common import backend as _backend
 from repro.evaluation.corpus import TraceCorpus
 from repro.experiment.cache import make_corpus
 from repro.experiment.runner import execute_job
@@ -238,8 +239,15 @@ class WorkerOptions:
     poll_interval: float = 0.2
 
 
-def _worker_entry(fabric_dir: str, options: WorkerOptions) -> None:
-    """Child-process entry point (module-level, hence picklable)."""
+def _worker_entry(
+    fabric_dir: str, options: WorkerOptions, backend: str
+) -> None:
+    """Child-process entry point (module-level, hence picklable).
+
+    ``backend`` is the launching process's backend: a spawned child
+    would otherwise re-resolve it from its own environment.
+    """
+    _backend.set_backend(backend)
     FabricWorker(
         fabric_dir,
         lease_ttl=options.lease_ttl,
@@ -298,12 +306,13 @@ def run_worker_pool(
         for thread in pool:
             thread.join()
         return
+    backend = _backend.backend_name()
     if n_workers == 1:
-        _worker_entry(fabric_dir, options)
+        _worker_entry(fabric_dir, options, backend)
         return
     processes = [
         multiprocessing.Process(
-            target=_worker_entry, args=(fabric_dir, options)
+            target=_worker_entry, args=(fabric_dir, options, backend)
         )
         for _ in range(n_workers)
     ]

@@ -51,7 +51,10 @@ are mutated in place to the exact values the Python loops produce.
 **Backends.**  ``pure`` and ``numpy`` are the existing Python loops
 (they differ only in how derived columns are produced); ``native`` is
 the C extension :mod:`repro.kernels._native` (built by
-``python -m repro.kernels.build`` or the wheel).  The contract for
+``python -m repro.kernels.build`` or the wheel).  The one switch among
+them, and the list of those usable on this machine
+(:func:`repro.common.backend.available_backends`), live in
+:mod:`repro.common.backend`.  The contract for
 every backend is *byte identity*: same ResultSet JSON, same predictor
 table state, same hex-float timing goldens — enforced by the
 equivalence suites and ``tests/integration/test_kernel_abi.py``.
@@ -73,7 +76,7 @@ is always correct.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common import backend as _backend
 
@@ -108,21 +111,6 @@ def reset_decline_counts() -> None:
     """Zero the decline tallies (runner calls this per run)."""
     with _declines_lock:
         _declines.clear()
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered kernel backends on this machine, floor first."""
-    names = ["pure"]
-    if _backend._numpy_available():
-        names.append("numpy")
-    if _backend.native_available():
-        names.append("native")
-    return tuple(names)
-
-
-def native_available() -> bool:
-    """True when the compiled kernel extension is importable."""
-    return _backend.native_available()
 
 
 def try_group_replay(proto, trace, out=None) -> bool:

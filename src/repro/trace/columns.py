@@ -13,101 +13,19 @@ lists.  Both backends yield *identical* Python ints, so simulation
 results are byte-for-byte independent of the backend — the equivalence
 suite asserts this.
 
-Set ``REPRO_BACKEND=pure`` (or the deprecated back-compat alias
-``REPRO_PURE_PYTHON=1``) in the environment to force the pure backend
-even when numpy is installed (CI runs both); see
-:mod:`repro.common.backend` for the unified backend switch this
-column-level selection is one layer of.
+The backend is the unified :mod:`repro.common.backend` switch:
+``REPRO_BACKEND=pure`` (or ``backend.set_backend("pure")``) forces the
+pure path even when numpy is installed (CI runs both).
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, NamedTuple, Optional
 
-#: Environment variable that force-disables the numpy backend
-#: (deprecated alias of ``REPRO_BACKEND=pure``).
-PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
+from repro.common import backend as _backend
 
 #: Bitmask columns need one bit per node in an int64 numpy lane.
 _MAX_NUMPY_NODES = 62
-
-
-def _import_numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised on no-numpy CI
-        return None
-    return numpy
-
-
-def _env_forces_pure() -> bool:
-    return bool(
-        os.environ.get(PURE_PYTHON_ENV)
-        or os.environ.get("REPRO_BACKEND", "").strip().lower()
-        in ("pure", "python")
-    )
-
-
-_np = None if _env_forces_pure() else _import_numpy()
-
-
-def backend_name() -> str:
-    """The active column backend: ``"numpy"`` or ``"python"``."""
-    return "numpy" if _np is not None else "python"
-
-
-def numpy_module():
-    """The numpy module when the numpy backend is active, else None.
-
-    The batched generation layer (:mod:`repro.workloads.genchunks`) and
-    the analysis column kernels consult this at call time, so
-    :func:`set_backend` switches every vectorized path at once.
-    """
-    return _np
-
-
-def set_backend(name: str) -> None:
-    """Select the column backend: ``"numpy"``, ``"python"``, ``"auto"``.
-
-    Intended for tests and benchmarks; raises if numpy is requested
-    but not importable.  ``"auto"`` re-runs the import-time detection
-    (honouring ``REPRO_BACKEND`` and :data:`PURE_PYTHON_ENV`).
-
-    Pinning a column backend also pins the matching unified tier in
-    :mod:`repro.common.backend` ("python" -> pure, "numpy" -> numpy),
-    so the equivalence suites that parametrize over this function
-    compare the Python replay loops and never silently dispatch the
-    native kernels.
-    """
-    _apply(name)
-    from repro.common import backend as _backend
-
-    _backend._sync_from_columns(name)
-
-
-def _apply(name: str) -> None:
-    """Low-level column switch (no unified-backend notification)."""
-    global _np
-    if name == "python":
-        _np = None
-    elif name in ("numpy", "numpy-if-available"):
-        numpy = _import_numpy()
-        if numpy is None:
-            if name == "numpy-if-available":
-                _np = None
-                return
-            raise RuntimeError("numpy backend requested but not importable")
-        _np = numpy
-    elif name == "auto":
-        _np = None if _env_forces_pure() else _import_numpy()
-    elif name == "auto-numpy":
-        # Unified auto resolved to a non-pure tier: numpy when
-        # importable regardless of the pure-forcing env (the caller
-        # already decided the tier).
-        _np = _import_numpy()
-    else:
-        raise ValueError(f"unknown backend {name!r}")
 
 
 class DerivedColumns(NamedTuple):
@@ -152,19 +70,20 @@ def derived_columns(
     """
     block_shift = block_size.bit_length() - 1
     n = n_processors
+    np_ = _backend.numpy_module()
     if (
-        _np is not None
+        np_ is not None
         and n <= _MAX_NUMPY_NODES
         and addresses.itemsize == 8
         and requesters.itemsize == 4
     ):
-        addr = _np.frombuffer(addresses, dtype=_np.int64)
-        blocks = addr & _np.int64(~(block_size - 1))
+        addr = np_.frombuffer(addresses, dtype=np_.int64)
+        blocks = addr & np_.int64(~(block_size - 1))
         homes = (blocks >> block_shift) % n
-        reqbits = _np.int64(1) << _np.frombuffer(
-            requesters, dtype=_np.int32
-        ).astype(_np.int64)
-        minimals = reqbits | (_np.int64(1) << homes)
+        reqbits = np_.int64(1) << np_.frombuffer(
+            requesters, dtype=np_.int32
+        ).astype(np_.int64)
+        minimals = reqbits | (np_.int64(1) << homes)
         if use_pc_index:
             keys = list(pcs)
         elif key_granularity is not None:
@@ -229,10 +148,11 @@ def aligned_list(addresses, block_size: int) -> List[int]:
     The lighter sibling of :func:`derived_columns` for consumers that
     only need the block keys (the baseline protocols' replay loop).
     """
-    if _np is not None and addresses.itemsize == 8:
+    np_ = _backend.numpy_module()
+    if np_ is not None and addresses.itemsize == 8:
         return (
-            _np.frombuffer(addresses, dtype=_np.int64)
-            & _np.int64(~(block_size - 1))
+            np_.frombuffer(addresses, dtype=np_.int64)
+            & np_.int64(~(block_size - 1))
         ).tolist()
     mask = ~(block_size - 1)
     return [a & mask for a in addresses]
@@ -242,10 +162,11 @@ def aligned_array(addresses, block_size: int, typecode: str):
     """Aligned addresses as a stdlib ``array`` (the legacy key API)."""
     from array import array
 
-    if _np is not None and addresses.itemsize == 8:
-        aligned = _np.frombuffer(
-            addresses, dtype=_np.int64
-        ) & _np.int64(~(block_size - 1))
+    np_ = _backend.numpy_module()
+    if np_ is not None and addresses.itemsize == 8:
+        aligned = np_.frombuffer(
+            addresses, dtype=np_.int64
+        ) & np_.int64(~(block_size - 1))
         out = array(typecode)
         out.frombytes(aligned.tobytes())
         return out

@@ -6,7 +6,7 @@ import collections
 import dataclasses
 from typing import Dict
 
-from repro.trace import columns as _columns
+from repro.common import backend as _backend
 from repro.trace.trace import Trace
 
 
@@ -70,7 +70,7 @@ def compute_trace_stats(
     numpy is available; identical to
     :func:`compute_trace_stats_records` either way.
     """
-    np_ = _columns.numpy_module()
+    np_ = _backend.numpy_module()
     n_records = len(trace)
     if np_ is None or n_records == 0:
         return compute_trace_stats_records(

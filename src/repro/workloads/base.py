@@ -147,7 +147,7 @@ class WorkloadModel(abc.ABC):
         :meth:`references`, but synthesized by the chunked engine
         (:mod:`repro.workloads.genchunks`) — vectorized region
         sampling and address draws under numpy, with a byte-identical
-        pure-Python fallback (``REPRO_PURE_PYTHON=1``).  The chunked
+        pure-Python fallback (``REPRO_BACKEND=pure``).  The chunked
         stream has its own ``make_rng``-style determinism contract
         (seed + workload name + stream label), so it is reproducible
         but not record-for-record equal to the scalar oracle stream.

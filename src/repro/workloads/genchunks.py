@@ -28,8 +28,8 @@ stream label, counter)``:
   only by per-region access counters, so the chunk size never affects
   the generated stream.
 
-``REPRO_PURE_PYTHON=1`` (or
-:func:`repro.trace.columns.set_backend`) selects the backend at call
+``REPRO_BACKEND=pure`` (or
+:func:`repro.common.backend.set_backend`) selects the backend at call
 time; the generation-equivalence suite asserts byte-identical traces
 across backends for every workload in the registry.
 """
@@ -41,8 +41,8 @@ from bisect import bisect_right
 from math import log
 from typing import Dict, Iterable, Iterator, List, Tuple
 
+from repro.common import backend as _backend
 from repro.common.rng import derive_seed
-from repro.trace import columns as _columns
 from repro.workloads.patterns import _PC_STRIDE
 
 #: splitmix64 sequence constant.
@@ -535,7 +535,7 @@ class ChunkedReferenceSource:
         start = 0
         while start < n_references:
             size = min(chunk_size, n_references - start)
-            np_ = _columns.numpy_module()
+            np_ = _backend.numpy_module()
             if np_ is not None:
                 yield self._chunk_np(np_, start, size)
             else:

@@ -10,18 +10,19 @@ predictor on every registered workload, on both column backends
 that lets the fast paths exist at all.
 
 The backend is parametrized in-process via
-:func:`repro.trace.columns.set_backend`; CI additionally runs the
-whole suite with ``REPRO_PURE_PYTHON=1`` on an interpreter without
-numpy installed.
+:func:`repro.common.backend.set_backend` over the Python tiers (the
+native tier has its own conformance suite, ``test_kernel_abi.py``);
+CI additionally runs the whole suite on an interpreter without numpy
+installed.
 """
 
 import pytest
 
+from repro.common import backend as _backend
 from repro.common.params import PredictorConfig, SystemConfig
 from repro.evaluation.runtime import make_protocol
 from repro.predictors.registry import PAPER_POLICIES
 from repro.timing.system import TimingSimulator
-from repro.trace import columns as trace_columns
 from repro.trace.trace import Trace
 from repro.workloads import WORKLOAD_NAMES, create_workload
 
@@ -30,26 +31,17 @@ N_REFERENCES = 4_000
 PROTOCOL_LABELS = ("directory", "broadcast-snooping", *PAPER_POLICIES)
 
 
-def _available_backends():
-    backends = ["python"]
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        backends.insert(0, "numpy")
-    return backends
-
-
-BACKENDS = _available_backends()
+BACKENDS = tuple(
+    name for name in _backend.available_backends() if name != "native"
+)
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    """Run the test under one column backend, then restore detection."""
-    trace_columns.set_backend(request.param)
+    """Run the test under one Python tier, then restore detection."""
+    _backend.set_backend(request.param)
     yield request.param
-    trace_columns.set_backend("auto")
+    _backend.set_backend("auto")
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +210,7 @@ def test_resultset_json_identical_across_backends_and_runners(tmp_path):
     )
     texts = {}
     for backend in BACKENDS:
-        trace_columns.set_backend(backend)
+        _backend.set_backend(backend)
         try:
             serial = Runner(
                 jobs=1, cache_dir=tmp_path / f"serial-{backend}"
@@ -227,7 +219,7 @@ def test_resultset_json_identical_across_backends_and_runners(tmp_path):
                 jobs=2, cache_dir=tmp_path / f"parallel-{backend}"
             ).run(spec)
         finally:
-            trace_columns.set_backend("auto")
+            _backend.set_backend("auto")
         texts[f"{backend}-serial"] = serial.to_json()
         texts[f"{backend}-parallel"] = parallel.to_json()
     reference = texts[f"{BACKENDS[0]}-serial"]

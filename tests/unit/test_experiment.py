@@ -481,6 +481,40 @@ class TestRunner:
         with pytest.raises(ValueError, match="injected corpus"):
             runner.run(spec)
 
+    def test_spawned_workers_run_the_parent_backend(
+        self, tmp_path, monkeypatch
+    ):
+        # A spawn-started child re-imports repro with its own
+        # environment; the run's backend must reach it as an argument.
+        # Here the child's environment names no valid backend at all.
+        import concurrent.futures
+        import functools
+        import multiprocessing
+
+        from repro.common import backend as _backend
+
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            functools.partial(
+                concurrent.futures.ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn"),
+            ),
+        )
+        spec = ExperimentSpec(workloads=("ocean",), **SMALL)
+        _backend.set_backend("pure")
+        try:
+            monkeypatch.setenv(_backend.BACKEND_ENV, "bogus")
+            results = Runner(
+                jobs=2, executor="processes", cache_dir=tmp_path
+            ).run(spec)
+        finally:
+            monkeypatch.undo()
+            _backend.set_backend("auto")
+        assert results.perf.backend == "pure"
+        assert results.failures == []
+        assert len(results) == 3
+
     def test_max_outstanding_round_trips_and_changes_results(self):
         base = ExperimentSpec(
             workloads=("ocean",), kind="runtime", **SMALL
@@ -649,11 +683,10 @@ class TestThreadedRunner:
 
     @pytest.fixture(params=("pure", "numpy", "native"))
     def unified_backend(self, request):
-        from repro import kernels
         from repro.common import backend as _backend
 
         name = request.param
-        if name not in kernels.available_backends():
+        if name not in _backend.available_backends():
             pytest.skip(f"{name} backend unavailable on this machine")
         _backend.set_backend(name)
         yield name
@@ -703,14 +736,13 @@ class TestThreadedRunner:
         assert threaded == Runner(jobs=1, corpus=corpus).run(spec)
 
     def test_resolved_executor_follows_backend(self):
-        from repro import kernels
         from repro.common import backend as _backend
 
         assert Runner(jobs=2, executor="threads").resolved_executor() \
             == "threads"
         assert Runner(jobs=2, executor="processes").resolved_executor() \
             == "processes"
-        if "native" in kernels.available_backends():
+        if "native" in _backend.available_backends():
             _backend.set_backend("native")
             try:
                 assert Runner(jobs=2).resolved_executor() == "threads"

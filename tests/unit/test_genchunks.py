@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.pipeline import TraceCollector
 from repro.cache.reference import MemoryReference
-from repro.trace import columns
+from repro.common import backend as _backend
 from repro.workloads import create_workload
 from repro.workloads.genchunks import (
     _ZipfThresholds,
@@ -12,7 +12,7 @@ from repro.workloads.genchunks import (
     chunks_from_references,
 )
 
-HAS_NUMPY = columns._import_numpy() is not None
+HAS_NUMPY = "numpy" in _backend.available_backends()
 
 
 class TestCounterRng:

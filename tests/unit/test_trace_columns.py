@@ -135,32 +135,19 @@ class TestDerivedColumnBackends:
             records.append(record)
         return make_trace(records)
 
-    def _backends(self):
-        from repro.trace import columns
-
-        names = ["python"]
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            names.append("numpy")
-        return columns, names
-
     def test_backends_produce_identical_columns(self, sample):
-        columns, names = self._backends()
+        from repro.common import backend as _backend
+
+        names = _backend.available_backends()
         built = {}
         for name in names:
-            columns.set_backend(name)
-            try:
+            with _backend.use(name):
                 fresh = sample[:]
                 built[name] = (
                     fresh.derived_columns(64, 4, 1024, False),
                     list(fresh.block_keys(64)),
                     fresh.boxed_columns(),
                 )
-            finally:
-                columns.set_backend("auto")
         reference = built[names[0]]
         for name in names[1:]:
             assert built[name] == reference
@@ -201,11 +188,6 @@ class TestDerivedColumnBackends:
         assert again[0] is warmup and again[1] is measured
         assert len(warmup) == 50
         assert len(measured) == len(sample) - 50
-
-    def test_set_backend_rejects_unknown(self):
-        columns, _ = self._backends()
-        with pytest.raises(ValueError, match="unknown backend"):
-            columns.set_backend("fortran")
 
     def test_wide_systems_fall_back_to_python_masks(self, sample):
         # 100 nodes cannot be built with int64 numpy lanes; the mask
