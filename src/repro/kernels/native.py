@@ -212,7 +212,7 @@ def group_replay(proto, trace, out=None) -> bool:
         return False
     n, use_pc, gshift, block_size = geometry
 
-    predictors = proto._predictors
+    predictors = proto.predictors
     tables = [p._table for p in predictors]
     first = predictors[0]
     ext = _ext()
@@ -244,7 +244,7 @@ def policy_replay(proto, trace, out=None) -> bool:
     from repro.predictors.owner_group import OwnerGroupPredictor
     from repro.predictors.sticky_spatial import StickySpatialPredictor
 
-    predictors = proto._predictors
+    predictors = proto.predictors
     first_type = type(predictors[0])
     ext = _ext()
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.common.destset import DestinationSet
 from repro.common.params import PredictorConfig
 from repro.common.types import AccessType, Address, NodeId
-from repro.predictors.base import DestinationSetPredictor, indexing_key
+from repro.predictors.base import DestinationSetPredictor
 from repro.predictors.broadcast_if_shared import BroadcastIfSharedPredictor
 from repro.predictors.owner import OwnerPredictor
 
@@ -49,62 +49,19 @@ class BandwidthAdaptivePredictor(DestinationSetPredictor):
         self.n_conservative = 0
 
     # ------------------------------------------------------------------
-    def predict_key(
-        self, key: int, address: Address, pc: Address, access: AccessType
+    def predict(
+        self, address: Address, pc: Address, access: AccessType
     ) -> DestinationSet:
         if self._recent_set_size <= self.budget:
-            prediction = self._aggressive.predict_key(
-                key, address, pc, access
-            )
+            prediction = self._aggressive.predict(address, pc, access)
             self.n_aggressive += 1
         else:
-            prediction = self._conservative.predict_key(
-                key, address, pc, access
-            )
+            prediction = self._conservative.predict(address, pc, access)
             self.n_conservative += 1
         self._recent_set_size += self.SMOOTHING * (
             prediction.count() - self._recent_set_size
         )
         return prediction
-
-    def train_response_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        responder: NodeId,
-        access: AccessType,
-        allocate: bool,
-    ) -> None:
-        self._aggressive.train_response_key(
-            key, address, pc, responder, access, allocate
-        )
-        self._conservative.train_response_key(
-            key, address, pc, responder, access, allocate
-        )
-
-    def train_external_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-    ) -> None:
-        self._aggressive.train_external_key(
-            key, address, pc, requester, access
-        )
-        self._conservative.train_external_key(
-            key, address, pc, requester, access
-        )
-
-    # ------------------------------------------------------------------
-    def predict(
-        self, address: Address, pc: Address, access: AccessType
-    ) -> DestinationSet:
-        return self.predict_key(
-            indexing_key(address, pc, self.config), address, pc, access
-        )
 
     def train_response(
         self,
@@ -130,23 +87,6 @@ class BandwidthAdaptivePredictor(DestinationSetPredictor):
     ) -> None:
         self._aggressive.train_external(address, pc, requester, access)
         self._conservative.train_external(address, pc, requester, access)
-
-    # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        self._aggressive.train_external_batch(
-            key, address, pc, requester, access, count
-        )
-        self._conservative.train_external_batch(
-            key, address, pc, requester, access, count
-        )
 
     # ------------------------------------------------------------------
     def entry_bits(self) -> int:

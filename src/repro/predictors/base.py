@@ -43,39 +43,42 @@ EntryT = TypeVar("EntryT")
 
 
 class FusedKernel(NamedTuple):
-    """Inlined per-policy kernels for the fused multicast replay loop.
+    """Per-phase closures for the multicast replay skeleton.
 
-    Built once per run over one protocol's per-node predictors (all of
-    the same concrete type) by
-    :meth:`DestinationSetPredictor.fused_kernel`.  The closures operate
-    directly on the predictors' flat table state, so the hot loop pays
-    one call per phase instead of one per (record, node):
+    Built once per run over one protocol's per-node predictors by
+    :meth:`DestinationSetPredictor.fused_kernel` (a policy kernel
+    operating directly on flat table state, so the hot loop pays one
+    call per phase instead of one per (record, node)) or by
+    :func:`repro.protocols.fused.generic_kernel` (closures over the
+    record methods, for any other predictor list):
 
-    - ``predict(requester, key, address, code) -> int`` — predicted
-      extra-destination bitmask,
-    - ``train_response(requester, key, address, responder, code,
+    - ``predict(requester, key, address, pc, code) -> int`` —
+      predicted extra-destination bitmask,
+    - ``train_response(requester, key, address, pc, responder, code,
       allocate)`` — data-response training at the requester,
-    - ``train_external(mask, key, address, requester, code, count)``
-      — external-request training fanned out to every node in
-      ``mask``, applied ``count`` times (a fused batch of identical
+    - ``train_external(mask, key, address, pc, requester, code,
+      count)`` — external-request training fanned out to every node
+      in ``mask``, applied ``count`` times (a fused batch of identical
       consecutive requests); ``None`` for policies that ignore
       external requests,
-    - ``train_truth(requester, address, truth_bits)`` — directory
+    - ``train_truth(requester, address, pc, truth_bits)`` — directory
       feedback; ``None`` for policies that ignore it,
     - ``sync()`` — write cached hot state (e.g. LRU ticks) back to
       the predictor objects after the loop.
 
     Kernels must leave predictor state *identical* to the equivalent
-    sequence of per-record method calls (the columnar equivalence
-    suite enforces this), with one sanctioned exception: collapsing
+    sequence of record-method calls (the columnar equivalence suite
+    enforces this), with one sanctioned exception: collapsing
     repeated same-key LRU touches into one preserves relative
     recency order, so absolute tick values may differ.
     """
 
-    predict: Callable[[int, int, int, int], int]
-    train_response: Callable[[int, int, int, int, int, int], None]
-    train_external: Optional[Callable[[int, int, int, int, int, int], None]]
-    train_truth: Optional[Callable[[int, int, int], None]]
+    predict: Callable[[int, int, int, int, int], int]
+    train_response: Callable[[int, int, int, int, int, int, int], None]
+    train_external: Optional[
+        Callable[[int, int, int, int, int, int, int], None]
+    ]
+    train_truth: Optional[Callable[[int, int, int, int], None]]
     sync: Callable[[], None]
 
 
@@ -192,16 +195,21 @@ class DestinationSetPredictor(abc.ABC):
     predictor nominates; the protocol always unions in the minimal
     destination set (requester + home), as in the paper.
 
-    Protocol hot loops call the ``*_key`` variants with the table index
-    key precomputed once per request (every per-node predictor of one
-    protocol shares the same :class:`PredictorConfig`, hence the same
-    key).  The default implementations delegate to the classic
-    entry points, so predictors with non-standard indexing (e.g.
-    StickySpatial) or no table at all need not override them.  Table
-    predictors implement the ``*_key`` variants as the primary code
-    path and the classic methods as thin key-computing wrappers;
-    subclasses overriding behaviour should override the ``*_key``
-    variants.
+    The record methods (:meth:`predict`, :meth:`train_response`,
+    :meth:`train_external`, :meth:`train_truth`) are the whole
+    per-record API and the oracle every replay engine must match.
+    The columnar multicast replay runs them through one of three
+    tiers: the inlined Group loop (stock, uniformly tuned Group
+    lists), ``run_kernel`` over a policy's :meth:`fused_kernel` or
+    over the generic kernel that calls the record methods, and the
+    native twins of the first two.  A subclass overrides the record
+    methods only: a ``fused_kernel`` engages only for the exact class
+    that defines it, so an inherited one never bypasses an override.
+
+    Contract: training one node's predictor must not affect any
+    *other* node's predictions (per-node state independence) — that
+    is what lets the replay defer a run of identical requests'
+    external training to the end of the run.
     """
 
     #: Short name used in reports and the registry.
@@ -248,63 +256,6 @@ class DestinationSetPredictor(abc.ABC):
         """Train on an external coherence request delivered to this node."""
 
     # ------------------------------------------------------------------
-    # Hot-path variants with the index key precomputed by the caller.
-    # ------------------------------------------------------------------
-    def predict_key(
-        self, key: int, address: Address, pc: Address, access: AccessType
-    ) -> DestinationSet:
-        """:meth:`predict` with the table key already computed."""
-        return self.predict(address, pc, access)
-
-    def train_response_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        responder: NodeId,
-        access: AccessType,
-        allocate: bool,
-    ) -> None:
-        """:meth:`train_response` with the table key already computed."""
-        self.train_response(address, pc, responder, access, allocate)
-
-    def train_external_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-    ) -> None:
-        """:meth:`train_external` with the table key already computed."""
-        self.train_external(address, pc, requester, access)
-
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        """Apply ``count`` identical external-request training events.
-
-        The multicast replay loop groups consecutive requests with the
-        same (table key, requester, access, destination set) into one
-        batch and delivers a single call per trained predictor.  Table
-        policies override this with count-aware kernels that update
-        the entry once; the default replays the per-event call.
-
-        Contract: training this node's predictor must not affect any
-        *other* node's predictions (per-node state independence) —
-        that is what makes deferring the fan-out to the end of a run
-        of identical requests exact.
-        """
-        for _ in range(count):
-            self.train_external_key(key, address, pc, requester, access)
-
-    # ------------------------------------------------------------------
     @classmethod
     def fused_kernel(
         cls, predictors: "Sequence[DestinationSetPredictor]"
@@ -312,9 +263,11 @@ class DestinationSetPredictor(abc.ABC):
         """Build a :class:`FusedKernel` over one protocol's predictors.
 
         Called with the per-node predictor list when every instance is
-        exactly of type ``cls``; returns ``None`` (the default) when
-        the policy has no fused implementation, in which case the
-        replay loop falls back to per-record method calls.
+        exactly of type ``cls`` and ``cls`` itself defines this method
+        (subclasses inherit none of it); returns ``None`` (the
+        default) when the policy has no fused implementation, in which
+        case the replay calls the record methods through the generic
+        kernel.
         """
         return None
 

@@ -30,14 +30,6 @@ class _CounterEntry:
     def __init__(self) -> None:
         self.counter = 0
 
-    def increment(self) -> None:
-        if self.counter < _COUNTER_MAX:
-            self.counter += 1
-
-    def decrement(self) -> None:
-        if self.counter > 0:
-            self.counter -= 1
-
 
 class BroadcastIfSharedPredictor(DestinationSetPredictor):
     """Broadcast when the block appears shared, minimal set otherwise."""
@@ -53,17 +45,16 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
         self._broadcast = DestinationSet.broadcast(n_nodes)
 
     # ------------------------------------------------------------------
-    def predict_key(
-        self, key: int, address: Address, pc: Address, access: AccessType
+    def predict(
+        self, address: Address, pc: Address, access: AccessType
     ) -> DestinationSet:
-        entry = self._table.lookup(key)
+        entry = self._table.lookup(self._table.key_for(address, pc))
         if entry is not None and entry.counter > 1:
             return self._broadcast
         return self._empty
 
-    def train_response_key(
+    def train_response(
         self,
-        key: int,
         address: Address,
         pc: Address,
         responder: NodeId,
@@ -71,6 +62,7 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
         allocate: bool,
     ) -> None:
         table = self._table
+        key = table.key_for(address, pc)
         entry = (
             table.lookup_allocate(key) if allocate else table.lookup(key)
         )
@@ -87,9 +79,8 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
             if entry.counter < _COUNTER_MAX:
                 entry.counter += 1
 
-    def train_external_key(
+    def train_external(
         self,
-        key: int,
         address: Address,
         pc: Address,
         requester: NodeId,
@@ -98,58 +89,9 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
         # "incremented on requests and responses from other
         # processors" (Section 3.3) — any external request signals
         # sharing, reads included.
-        entry = self._table.lookup(key)
+        entry = self._table.lookup(self._table.key_for(address, pc))
         if entry is not None and entry.counter < _COUNTER_MAX:
             entry.counter += 1
-
-    # ------------------------------------------------------------------
-    def predict(
-        self, address: Address, pc: Address, access: AccessType
-    ) -> DestinationSet:
-        return self.predict_key(
-            self._table.key_for(address, pc), address, pc, access
-        )
-
-    def train_response(
-        self,
-        address: Address,
-        pc: Address,
-        responder: NodeId,
-        access: AccessType,
-        allocate: bool,
-    ) -> None:
-        self.train_response_key(
-            self._table.key_for(address, pc),
-            address, pc, responder, access, allocate,
-        )
-
-    def train_external(
-        self,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-    ) -> None:
-        self.train_external_key(
-            self._table.key_for(address, pc),
-            address, pc, requester, access,
-        )
-
-    # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        # ``count`` saturating increments collapse to one clamped add.
-        entry = self._table.lookup(key)
-        if entry is not None:
-            total = entry.counter + count
-            entry.counter = total if total < _COUNTER_MAX else _COUNTER_MAX
 
     # ------------------------------------------------------------------
     @classmethod
@@ -166,7 +108,7 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
         cmax = _COUNTER_MAX
         scratch = [None]
 
-        def predict(requester, key, address, code):
+        def predict(requester, key, address, pc, code):
             entry = entries_l[requester].get(key)
             scratch[0] = entry
             if entry is None:
@@ -178,7 +120,7 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
                 return broadcast
             return 0
 
-        def train_response(requester, key, address, responder, code,
+        def train_response(requester, key, address, pc, responder, code,
                            allocate):
             entry = scratch[0]
             if entry is None:
@@ -194,7 +136,10 @@ class BroadcastIfSharedPredictor(DestinationSetPredictor):
             elif entry.counter < cmax:
                 entry.counter += 1
 
-        def train_external(mask, key, address, requester, code, count):
+        def train_external(mask, key, address, pc, requester, code,
+                           count):
+            # ``count`` saturating increments collapse to one clamped
+            # add.
             while mask:
                 low = mask & -mask
                 mask ^= low

@@ -39,10 +39,6 @@ class _GroupEntry:
         self.rollover = 0
         self.bits = 0
 
-    def predicted_nodes(self) -> List[NodeId]:
-        """Processors whose counters exceed the threshold."""
-        return [node for node, count in enumerate(self.counters) if count > 1]
-
 
 class GroupPredictor(DestinationSetPredictor):
     """Predict the recently active sharing group of the block.
@@ -82,55 +78,13 @@ class GroupPredictor(DestinationSetPredictor):
         return _GroupEntry(self.n_nodes)
 
     # ------------------------------------------------------------------
-    def predict_key(
-        self, key: int, address: Address, pc: Address, access: AccessType
-    ) -> DestinationSet:
-        entry = self._table.lookup(key)
-        if entry is None:
-            return self._empty
-        return DestinationSet._from_bits(self.n_nodes, entry.bits)
-
-    def train_response_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        responder: NodeId,
-        access: AccessType,
-        allocate: bool,
-    ) -> None:
-        table = self._table
-        entry = (
-            table.lookup_allocate(key) if allocate else table.lookup(key)
-        )
-        if entry is None:
-            return
-        if responder != MEMORY_NODE:
-            self._train(entry, responder)
-
-    def train_external_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-    ) -> None:
-        # "On each request or response, the predictor increments the
-        # corresponding counter" (Section 3.3) — external reads train
-        # too, which is what lets Group learn a producer's readers and
-        # predict the sharers its next upgrade must invalidate.
-        entry = self._table.lookup(key)
-        if entry is not None:
-            self._train(entry, requester)
-
-    # ------------------------------------------------------------------
     def predict(
         self, address: Address, pc: Address, access: AccessType
     ) -> DestinationSet:
-        return self.predict_key(
-            self._table.key_for(address, pc), address, pc, access
-        )
+        entry = self._table.lookup(self._table.key_for(address, pc))
+        if entry is None:
+            return self._empty
+        return DestinationSet._from_bits(self.n_nodes, entry.bits)
 
     def train_response(
         self,
@@ -140,10 +94,15 @@ class GroupPredictor(DestinationSetPredictor):
         access: AccessType,
         allocate: bool,
     ) -> None:
-        self.train_response_key(
-            self._table.key_for(address, pc),
-            address, pc, responder, access, allocate,
+        table = self._table
+        key = table.key_for(address, pc)
+        entry = (
+            table.lookup_allocate(key) if allocate else table.lookup(key)
         )
+        if entry is None:
+            return
+        if responder != MEMORY_NODE:
+            self._train(entry, responder)
 
     def train_external(
         self,
@@ -152,40 +111,12 @@ class GroupPredictor(DestinationSetPredictor):
         requester: NodeId,
         access: AccessType,
     ) -> None:
-        self.train_external_key(
-            self._table.key_for(address, pc),
-            address, pc, requester, access,
-        )
-
-    # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        entry = self._table.lookup(key)
-        if entry is None:
-            return
-        if not self._train_down:
-            # No decay: ``count`` saturating increments collapse to a
-            # clamped add plus one threshold-crossing bits update.
-            counters = entry.counters
-            before = counters[requester]
-            after = before + count
-            if after > self._counter_max:
-                after = self._counter_max
-            counters[requester] = after
-            if before <= self._threshold < after:
-                entry.bits |= 1 << requester
-            return
-        # The rollover counter may wrap (triggering train-down decay)
-        # mid-batch, so replay the events — inline, with the entry
-        # looked up and LRU-touched exactly once for the whole batch.
-        for _ in range(count):
+        # "On each request or response, the predictor increments the
+        # corresponding counter" (Section 3.3) — external reads train
+        # too, which is what lets Group learn a producer's readers and
+        # predict the sharers its next upgrade must invalidate.
+        entry = self._table.lookup(self._table.key_for(address, pc))
+        if entry is not None:
             self._train(entry, requester)
 
     # ------------------------------------------------------------------

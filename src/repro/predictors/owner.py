@@ -46,17 +46,16 @@ class OwnerPredictor(DestinationSetPredictor):
         )
 
     # ------------------------------------------------------------------
-    def predict_key(
-        self, key: int, address: Address, pc: Address, access: AccessType
+    def predict(
+        self, address: Address, pc: Address, access: AccessType
     ) -> DestinationSet:
-        entry = self._table.lookup(key)
+        entry = self._table.lookup(self._table.key_for(address, pc))
         if entry is not None and entry.valid:
             return self._singletons[entry.owner]
         return self._empty
 
-    def train_response_key(
+    def train_response(
         self,
-        key: int,
         address: Address,
         pc: Address,
         responder: NodeId,
@@ -64,6 +63,7 @@ class OwnerPredictor(DestinationSetPredictor):
         allocate: bool,
     ) -> None:
         table = self._table
+        key = table.key_for(address, pc)
         entry = (
             table.lookup_allocate(key) if allocate else table.lookup(key)
         )
@@ -76,43 +76,6 @@ class OwnerPredictor(DestinationSetPredictor):
             entry.owner = responder
             entry.valid = True
 
-    def train_external_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-    ) -> None:
-        if access is not AccessType.GETX:
-            return  # Table 3: requests for shared are ignored.
-        entry = self._table.lookup(key)
-        if entry is None:
-            return
-        entry.owner = requester
-        entry.valid = True
-
-    # ------------------------------------------------------------------
-    def predict(
-        self, address: Address, pc: Address, access: AccessType
-    ) -> DestinationSet:
-        return self.predict_key(
-            self._table.key_for(address, pc), address, pc, access
-        )
-
-    def train_response(
-        self,
-        address: Address,
-        pc: Address,
-        responder: NodeId,
-        access: AccessType,
-        allocate: bool,
-    ) -> None:
-        self.train_response_key(
-            self._table.key_for(address, pc),
-            address, pc, responder, access, allocate,
-        )
-
     def train_external(
         self,
         address: Address,
@@ -120,25 +83,13 @@ class OwnerPredictor(DestinationSetPredictor):
         requester: NodeId,
         access: AccessType,
     ) -> None:
-        self.train_external_key(
-            self._table.key_for(address, pc),
-            address, pc, requester, access,
-        )
-
-    # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        # Setting the owner is idempotent: ``count`` repeats collapse
-        # to one table update (one LRU touch keeps recency order).
-        if access is AccessType.GETX:
-            self.train_external_key(key, address, pc, requester, access)
+        if access is not AccessType.GETX:
+            return  # Table 3: requests for shared are ignored.
+        entry = self._table.lookup(self._table.key_for(address, pc))
+        if entry is None:
+            return
+        entry.owner = requester
+        entry.valid = True
 
     # ------------------------------------------------------------------
     @classmethod
@@ -153,7 +104,7 @@ class OwnerPredictor(DestinationSetPredictor):
         MEM = MEMORY_NODE
         scratch = [None]  # entry found by predict, reused by train
 
-        def predict(requester, key, address, code):
+        def predict(requester, key, address, pc, code):
             entry = entries_l[requester].get(key)
             scratch[0] = entry
             if entry is None:
@@ -165,7 +116,7 @@ class OwnerPredictor(DestinationSetPredictor):
                 return 1 << entry.owner
             return 0
 
-        def train_response(requester, key, address, responder, code,
+        def train_response(requester, key, address, pc, responder, code,
                            allocate):
             entry = scratch[0]
             if entry is None:
@@ -181,7 +132,10 @@ class OwnerPredictor(DestinationSetPredictor):
                 entry.owner = responder
                 entry.valid = True
 
-        def train_external(mask, key, address, requester, code, count):
+        def train_external(mask, key, address, pc, requester, code,
+                           count):
+            # Setting the owner is idempotent: ``count`` repeats
+            # collapse to one update (one LRU touch keeps recency).
             if not code:
                 return  # Table 3: requests for shared are ignored.
             while mask:

@@ -30,41 +30,6 @@ class OwnerGroupPredictor(DestinationSetPredictor):
         self._group = GroupPredictor(n_nodes, config)
 
     # ------------------------------------------------------------------
-    def predict_key(
-        self, key: int, address: Address, pc: Address, access: AccessType
-    ) -> DestinationSet:
-        if access is AccessType.GETS:
-            return self._owner.predict_key(key, address, pc, access)
-        return self._group.predict_key(key, address, pc, access)
-
-    def train_response_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        responder: NodeId,
-        access: AccessType,
-        allocate: bool,
-    ) -> None:
-        self._owner.train_response_key(
-            key, address, pc, responder, access, allocate
-        )
-        self._group.train_response_key(
-            key, address, pc, responder, access, allocate
-        )
-
-    def train_external_key(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-    ) -> None:
-        self._owner.train_external_key(key, address, pc, requester, access)
-        self._group.train_external_key(key, address, pc, requester, access)
-
-    # ------------------------------------------------------------------
     def predict(
         self, address: Address, pc: Address, access: AccessType
     ) -> DestinationSet:
@@ -92,23 +57,6 @@ class OwnerGroupPredictor(DestinationSetPredictor):
     ) -> None:
         self._owner.train_external(address, pc, requester, access)
         self._group.train_external(address, pc, requester, access)
-
-    # ------------------------------------------------------------------
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        self._owner.train_external_batch(
-            key, address, pc, requester, access, count
-        )
-        self._group.train_external_batch(
-            key, address, pc, requester, access, count
-        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -170,7 +118,7 @@ class OwnerGroupPredictor(DestinationSetPredictor):
                     bits |= 1 << index
             entry.bits = bits
 
-        def predict(requester, key, address, code):
+        def predict(requester, key, address, pc, code):
             # Owner for GETS, Group for GETX (Section 3.3).
             if code:
                 entry = g_entries[requester].get(key)
@@ -190,7 +138,7 @@ class OwnerGroupPredictor(DestinationSetPredictor):
                 return 1 << entry.owner
             return 0
 
-        def train_response(requester, key, address, responder, code,
+        def train_response(requester, key, address, pc, responder, code,
                            allocate):
             entry = o_entries[requester].get(key)
             if entry is not None:
@@ -221,7 +169,8 @@ class OwnerGroupPredictor(DestinationSetPredictor):
             if entry is not None and responder != MEM:
                 _train_group(entry, responder)
 
-        def train_external(mask, key, address, requester, code, count):
+        def train_external(mask, key, address, pc, requester, code,
+                           count):
             while mask:
                 low = mask & -mask
                 mask ^= low

@@ -94,17 +94,6 @@ class StickySpatialPredictor(DestinationSetPredictor):
     ) -> None:
         return None
 
-    def train_external_batch(
-        self,
-        key: int,
-        address: Address,
-        pc: Address,
-        requester: NodeId,
-        access: AccessType,
-        count: int,
-    ) -> None:
-        return None  # StickySpatial learns only from the directory.
-
     # ------------------------------------------------------------------
     @classmethod
     def fused_kernel(
@@ -118,7 +107,7 @@ class StickySpatialPredictor(DestinationSetPredictor):
         unbounded = config.unbounded
         n_entries = None if unbounded else config.n_entries
 
-        def predict(requester, key, address, code):
+        def predict(requester, key, address, pc, code):
             block_number = address // granularity
             entries = entries_l[requester]
             bits = 0
@@ -132,11 +121,11 @@ class StickySpatialPredictor(DestinationSetPredictor):
                     bits |= entry[1]
             return bits
 
-        def train_response(requester, key, address, responder, code,
+        def train_response(requester, key, address, pc, responder, code,
                            allocate):
             return None  # Learns exclusively from directory feedback.
 
-        def train_truth(requester, address, truth_bits):
+        def train_truth(requester, address, pc, truth_bits):
             block_number = address // granularity
             index = (
                 block_number if unbounded else block_number % n_entries

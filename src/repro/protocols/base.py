@@ -6,15 +6,18 @@ Protocols expose two execution paths over one transaction model:
   :class:`TraceRecord` and returns a full :class:`RequestOutcome` —
   the record-oriented API for analyses, tests, and custom consumers.
 - :meth:`CoherenceProtocol.run` over a columnar :class:`Trace`
-  dispatches to an allocation-free loop that indexes the trace's
-  columns directly and calls the protocol's ``_handle_fast`` scalar
-  kernel per request, folding accounting into local variables.
+  dispatches to the protocol's columnar engine: the base
+  ``_run_columns`` loop over a ``_handle_fast`` scalar kernel
+  (directory, broadcast snooping), or a protocol's own
+  ``_run_columns`` (multicast snooping's fused replay tiers, see
+  :mod:`repro.protocols.fused`), folding accounting into local
+  variables.
 
-The fast loop is only taken when the concrete class pairs its
-``_handle`` with a ``_handle_fast`` implementation; subclasses that
-override ``_handle`` alone (e.g. instrumentation wrappers) fall back
-to the record-oriented path automatically, so behaviour never
-silently diverges.
+The columnar path is only taken when the concrete class pairs its
+``_handle`` with such an engine; subclasses that override ``_handle``
+alone (e.g. the accuracy probe and other instrumentation wrappers)
+fall back to the record-oriented path automatically, so behaviour
+never silently diverges.
 """
 
 from __future__ import annotations
@@ -228,15 +231,19 @@ class CoherenceProtocol(abc.ABC):
         self._fast_ok = self._probe_fast_path()
 
     def _probe_fast_path(self) -> bool:
-        """True if this instance's ``_handle`` has a paired fast kernel.
+        """True if this instance's ``_handle`` has a paired columnar engine.
 
-        Walks the MRO: the fast path is sound only if no subclass
-        overrides ``_handle`` below the class that provides
-        ``_handle_fast`` (otherwise the override's behaviour would be
-        skipped by the columnar loop).
+        Walks the MRO: the columnar path is sound only if no subclass
+        overrides ``_handle`` below the class that provides the engine
+        — a ``_handle_fast`` kernel or its own ``_run_columns`` loop
+        (otherwise the override's behaviour would be skipped by the
+        columnar replay).
         """
         for klass in type(self).__mro__:
-            if "_handle_fast" in klass.__dict__:
+            if (
+                "_handle_fast" in klass.__dict__
+                or "_run_columns" in klass.__dict__
+            ):
                 return True
             if "_handle" in klass.__dict__:
                 return False
@@ -263,14 +270,6 @@ class CoherenceProtocol(abc.ABC):
             self.handle(record)
         return self.totals
 
-    def _prepare_fast_run(self) -> None:
-        """Hook run before each columnar replay.
-
-        Protocols that cache derived hot-path state (e.g. bound
-        training methods per predictor) refresh it here, so swapping
-        components between runs stays safe.
-        """
-
     def _run_columns(
         self, trace: Trace, out: "Optional[OutcomeColumns]" = None
     ) -> None:
@@ -283,7 +282,6 @@ class CoherenceProtocol(abc.ABC):
         active (:func:`repro.kernels.try_baseline_replay`); everything
         else, and every native decline, runs the loop below.
         """
-        self._prepare_fast_run()
         if kernels.try_baseline_replay(self, trace, out):
             return
         handle_fast = self._handle_fast

@@ -1,29 +1,32 @@
 """Fused batch replay loops for multicast snooping.
 
-Three tiers of the same transaction pipeline (predict -> order ->
-sufficiency -> account -> train), all driven by the trace's cached
-derived columns (:meth:`repro.trace.trace.Trace.derived_columns`) and
-all folding accounting into :meth:`TrafficTotals.add_batch`:
+Two Python skeletons of the same transaction pipeline (predict ->
+order -> sufficiency -> account -> train), both driven by the trace's
+cached derived columns (:meth:`repro.trace.trace.Trace.derived_columns`)
+and both folding accounting into :meth:`TrafficTotals.add_batch`:
 
 - :func:`run_group` — the Group predictor's loop with every predictor
   operation inlined on the flat table state (the paper's flagship
   policy and the benchmark's hot path),
-- :func:`run_kernel` — a shared skeleton calling a policy's
-  :class:`~repro.predictors.base.FusedKernel` closures (Owner,
-  Broadcast-If-Shared, Owner/Group, StickySpatial),
-- :func:`run_generic` — per-record predictor method calls for
-  heterogeneous or fused-kernel-less predictor lists (Oracle,
-  bandwidth-adaptive, user subclasses).
+- :func:`run_kernel` — a shared skeleton calling a
+  :class:`~repro.predictors.base.FusedKernel`'s closures: a policy's
+  own :meth:`~repro.predictors.base.DestinationSetPredictor.fused_kernel`
+  (Owner, Broadcast-If-Shared, Owner/Group, StickySpatial) or
+  :func:`generic_kernel`, which calls the record methods (every other
+  predictor list, subclasses included).
 
-Every tier groups consecutive records with identical (table key,
+The native tier (:mod:`repro.kernels`) has byte-identical twins of
+``run_group`` and of ``run_kernel`` over the policy kernels.
+
+Both skeletons group consecutive records with identical (table key,
 requester, access, external destination set) into one *fused training
 batch*: the external-request fan-out — one training event per
 multicast target per record, the dominant cost for broadcast-heavy
-predictors — is delivered as a single count-carrying call per
-predictor per run.  Deferring the fan-out to the end of a run is
-exact because a run shares one requester: the only predictor read
-during the run belongs to that requester, which is never a member of
-its own external set (per-node predictor state is independent).
+predictors — is delivered as a single count-carrying call per run.
+Deferring the fan-out to the end of a run is exact because a run
+shares one requester: the only predictor read during the run belongs
+to that requester, which is never a member of its own external set
+(per-node predictor state is independent).
 
 Equivalence with the record-object engine — identical totals,
 coherence state, and predictor tables — is enforced by
@@ -33,18 +36,13 @@ protocol x predictor x workload.
 
 from __future__ import annotations
 
-from repro.common.destset import DestinationSet
+from repro.common.destset import DestinationSet, popcount
 from repro.common.types import MEMORY_NODE
+from repro.predictors.base import DestinationSetPredictor, FusedKernel
 from repro.predictors.group import GroupPredictor
 from repro.trace.trace import ACCESS_BY_CODE, Trace
 
 _MAX_RETRIES = 3  # third retry resorts to broadcast (Section 4.1)
-
-try:
-    _popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - Python 3.9 CI only
-    def _popcount(value):
-        return bin(value).count("1")
 
 
 def _derived(proto, trace: Trace):
@@ -99,7 +97,7 @@ def run_group(proto, trace: Trace, out=None) -> None:
     reqbits = derived.reqbits
     notreqs = derived.notreqs
 
-    predictors = proto._predictors
+    predictors = proto.predictors
     tables = [p._table for p in predictors]
     entries_get = [t._entries.get for t in tables]
     stamps_l = [t._stamps for t in tables]
@@ -128,7 +126,7 @@ def run_group(proto, trace: Trace, out=None) -> None:
         lat_append = out.latency_ns.append
         byte_append = out.transfer_bytes.append
 
-    bit_count = _popcount
+    bit_count = popcount
     misses = len(requesters)
     indirections = 0
     request_sum = 0  # sum of destination popcounts; -misses at fold
@@ -324,17 +322,19 @@ def run_group(proto, trace: Trace, out=None) -> None:
 
 
 def run_kernel(proto, trace: Trace, kernel, out=None) -> None:
-    """Semi-fused replay through a policy's :class:`FusedKernel`.
+    """Semi-fused replay through a :class:`FusedKernel`'s closures.
 
-    This loop is the Python oracle for the native ``policy_replay``
-    kernel (:func:`repro.kernels.try_policy_replay` dispatches there
-    first when the native tier is active): every closure call, MOSI
-    update, and accounting statement here has a byte-identical
-    compiled twin, so the dispatch site in
+    Runs a policy's own kernel or :func:`generic_kernel`.  Over a
+    policy kernel this loop is the Python oracle for the native
+    ``policy_replay`` kernel (:func:`repro.kernels.try_policy_replay`
+    dispatches there first when the native tier is active): every
+    closure call, MOSI update, and accounting statement here has a
+    byte-identical compiled twin, so the dispatch site in
     :meth:`MulticastSnoopingProtocol._run_columns` can swap them
-    freely per call.
+    freely per call.  The generic kernel has no native twin.
     """
     addresses = trace.boxed_column("addresses")
+    pcs = trace.boxed_column("pcs")
     requesters = trace.boxed_column("requesters")
     accesses = trace.boxed_column("accesses")
     derived = _derived(proto, trace)
@@ -366,165 +366,7 @@ def run_kernel(proto, trace: Trace, kernel, out=None) -> None:
         lat_append = out.latency_ns.append
         byte_append = out.transfer_bytes.append
 
-    bit_count = _popcount
-    misses = len(requesters)
-    indirections = 0
-    request_sum = 0
-    retry_sum = 0
-    retries_total = 0
-    latency_sum = totals.latency_ns_sum
-
-    p_key = None
-    p_req = -1
-    p_code = -1
-    p_addr = 0
-    p_mask = 0
-    p_count = 0
-
-    for address, requester, code, block, key, home, minimal, reqbit in zip(
-        addresses, requesters, accesses, blocks, keys, homes,
-        minimals, reqbits,
-    ):
-        if p_count and (
-            key != p_key or requester != p_req or code != p_code
-        ):
-            k_external(p_mask, p_key, p_addr, p_req, p_code, p_count)
-            p_count = 0
-
-        destination = k_predict(requester, key, address, code) | minimal
-
-        packed = state_blocks.get(block)
-        if packed is None:
-            owner = MEM
-            sharers = 0
-        else:
-            owner, sharers = packed
-        if owner >= 0 and owner != requester:
-            required = 1 << owner
-            responder = owner
-        else:
-            required = 0
-            responder = MEM
-        if code:
-            required |= sharers & ~reqbit
-            state_blocks[block] = (requester, 0)
-        elif owner != requester:
-            state_blocks[block] = (owner, sharers | reqbit)
-
-        dcount = bit_count(destination)
-        request_sum += dcount
-        delivered = destination
-        if required & ~destination == 0:
-            lat = lat_mem if responder == MEM else lat_dir
-            latency_sum += lat
-            if lat_append is not None:
-                lat_append(lat)
-                byte_append((dcount - 1) * control + data_size)
-        else:
-            corrected = required | minimal
-            n_retries = 1
-            retry_messages = bit_count(corrected) - 1
-            delivered |= corrected
-            if race_probability:
-                while (
-                    n_retries < _MAX_RETRIES
-                    and rng_random() < race_probability
-                ):
-                    n_retries += 1
-                    if n_retries >= _MAX_RETRIES:
-                        corrected = full
-                    retry_messages += bit_count(corrected) - 1
-                    delivered |= corrected
-            retry_sum += retry_messages
-            retries_total += n_retries
-            indirections += 1
-            latency_sum += lat_ind
-            if lat_append is not None:
-                lat_append(lat_ind)
-                byte_append(
-                    (dcount - 1 + retry_messages) * control + data_size
-                )
-
-        k_response(requester, key, address, responder, code, required)
-        if k_truth is not None:
-            k_truth(requester, address, required | (1 << home))
-
-        if k_external is not None:
-            external = delivered & ~reqbit
-            if p_count and external == p_mask:
-                p_count += 1
-            else:
-                if p_count:
-                    k_external(
-                        p_mask, p_key, p_addr, p_req, p_code, p_count
-                    )
-                p_key = key
-                p_req = requester
-                p_code = code
-                p_addr = address
-                p_mask = external
-                p_count = 1
-
-    if p_count:
-        k_external(p_mask, p_key, p_addr, p_req, p_code, p_count)
-    kernel.sync()
-
-    request_messages = request_sum - misses
-    traffic_bytes = (
-        (request_messages + retry_sum) * control + misses * data_size
-    )
-    totals.add_batch(
-        misses, indirections, request_messages, 0, retry_sum,
-        misses, traffic_bytes, latency_sum, retries_total,
-    )
-
-
-def run_generic(proto, trace: Trace, out=None) -> None:
-    """Batched replay via per-record predictor method calls.
-
-    The compatibility tier: works for any predictor mix (including
-    heterogeneous lists, the oracle, and user subclasses) while still
-    delivering the external fan-out as one
-    :meth:`~repro.predictors.base.DestinationSetPredictor.train_external_batch`
-    call per predictor per run of identical requests.  Batches carry
-    the run's first record's address/pc as representatives (the table
-    key — the grouping key — is what table policies index by).
-    """
-    addresses = trace.boxed_column("addresses")
-    pcs = trace.boxed_column("pcs")
-    requesters = trace.boxed_column("requesters")
-    accesses = trace.boxed_column("accesses")
-    derived = _derived(proto, trace)
-    blocks = derived.blocks
-    keys = derived.keys
-    homes = derived.homes
-    minimals = derived.minimals
-    reqbits = derived.reqbits
-
-    predictors = proto._predictors
-    needs_truth = proto._needs_truth
-    n = proto.config.n_processors
-    by_code = ACCESS_BY_CODE
-    from_bits = DestinationSet._from_bits
-
-    state_blocks = proto.state._blocks
-    lat_mem = proto._lat_memory
-    lat_dir = proto._lat_direct
-    lat_ind = proto._lat_indirect
-    full = proto._full_mask
-    race_probability = proto.race_probability
-    rng_random = proto._race_rng.random
-    control = proto.traffic.control_bytes
-    data_size = proto.traffic.data_bytes
-    totals = proto.totals
-    MEM = MEMORY_NODE
-
-    lat_append = byte_append = None
-    if out is not None:
-        lat_append = out.latency_ns.append
-        byte_append = out.transfer_bytes.append
-
-    bit_count = _popcount
+    bit_count = popcount
     misses = len(requesters)
     indirections = 0
     request_sum = 0
@@ -540,14 +382,6 @@ def run_generic(proto, trace: Trace, out=None) -> None:
     p_mask = 0
     p_count = 0
 
-    def flush(mask, fkey, faddr, fpc, freq, faccess, count):
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            predictors[low.bit_length() - 1].train_external_batch(
-                fkey, faddr, fpc, freq, faccess, count
-            )
-
     for address, pc, requester, code, block, key, home, minimal, reqbit \
             in zip(
         addresses, pcs, requesters, accesses, blocks, keys, homes,
@@ -556,16 +390,12 @@ def run_generic(proto, trace: Trace, out=None) -> None:
         if p_count and (
             key != p_key or requester != p_req or code != p_code
         ):
-            flush(
-                p_mask, p_key, p_addr, p_pc, p_req, by_code[p_code],
-                p_count,
+            k_external(
+                p_mask, p_key, p_addr, p_pc, p_req, p_code, p_count
             )
             p_count = 0
 
-        access = by_code[code]
-        predictor = predictors[requester]
-        predicted = predictor.predict_key(key, address, pc, access)
-        destination = predicted._bits | minimal
+        destination = k_predict(requester, key, address, pc, code) | minimal
 
         packed = state_blocks.get(block)
         if packed is None:
@@ -619,35 +449,31 @@ def run_generic(proto, trace: Trace, out=None) -> None:
                     (dcount - 1 + retry_messages) * control + data_size
                 )
 
-        predictor.train_response_key(
-            key, address, pc, responder, access, required != 0
-        )
-        if needs_truth:
-            predictor.train_truth(
-                address, pc, from_bits(n, required | (1 << home))
-            )
+        k_response(requester, key, address, pc, responder, code, required)
+        if k_truth is not None:
+            k_truth(requester, address, pc, required | (1 << home))
 
-        external = delivered & ~reqbit
-        if p_count and external == p_mask:
-            p_count += 1
-        else:
-            if p_count:
-                flush(
-                    p_mask, p_key, p_addr, p_pc, p_req,
-                    by_code[p_code], p_count,
-                )
-            p_key = key
-            p_req = requester
-            p_code = code
-            p_addr = address
-            p_pc = pc
-            p_mask = external
-            p_count = 1
+        if k_external is not None:
+            external = delivered & ~reqbit
+            if p_count and external == p_mask:
+                p_count += 1
+            else:
+                if p_count:
+                    k_external(
+                        p_mask, p_key, p_addr, p_pc, p_req, p_code,
+                        p_count,
+                    )
+                p_key = key
+                p_req = requester
+                p_code = code
+                p_addr = address
+                p_pc = pc
+                p_mask = external
+                p_count = 1
 
     if p_count:
-        flush(
-            p_mask, p_key, p_addr, p_pc, p_req, by_code[p_code], p_count
-        )
+        k_external(p_mask, p_key, p_addr, p_pc, p_req, p_code, p_count)
+    kernel.sync()
 
     request_messages = request_sum - misses
     traffic_bytes = (
@@ -656,4 +482,56 @@ def run_generic(proto, trace: Trace, out=None) -> None:
     totals.add_batch(
         misses, indirections, request_messages, 0, retry_sum,
         misses, traffic_bytes, latency_sum, retries_total,
+    )
+
+
+def generic_kernel(proto) -> FusedKernel:
+    """A :class:`FusedKernel` whose closures call the record methods.
+
+    The kernel for every predictor list without a policy kernel:
+    mixed lists, subclasses, non-uniform Group lists, the oracle,
+    bandwidth-adaptive and the static policies.  A fused external
+    batch replays one ``train_external`` call per event, ``count``
+    times per node in the mask, each carrying the run's first record's
+    address and pc (every record of the run shares their table key).
+    Directory feedback is wired in only when some predictor overrides
+    :meth:`~repro.predictors.base.DestinationSetPredictor.train_truth`.
+    """
+    predictors = proto.predictors
+    n = proto.config.n_processors
+    by_code = ACCESS_BY_CODE
+    from_bits = DestinationSet._from_bits
+
+    def predict(requester, key, address, pc, code):
+        return predictors[requester].predict(
+            address, pc, by_code[code]
+        )._bits
+
+    def train_response(requester, key, address, pc, responder, code,
+                       allocate):
+        predictors[requester].train_response(
+            address, pc, responder, by_code[code], allocate != 0
+        )
+
+    def train_external(mask, key, address, pc, requester, code, count):
+        access = by_code[code]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            train = predictors[low.bit_length() - 1].train_external
+            for _ in range(count):
+                train(address, pc, requester, access)
+
+    def train_truth(requester, address, pc, truth_bits):
+        predictors[requester].train_truth(
+            address, pc, from_bits(n, truth_bits)
+        )
+
+    needs_truth = any(
+        type(p).train_truth is not DestinationSetPredictor.train_truth
+        for p in predictors
+    )
+    return FusedKernel(
+        predict, train_response, train_external,
+        train_truth if needs_truth else None, lambda: None,
     )

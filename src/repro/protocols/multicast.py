@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.common.destset import DestinationSet, full_mask, popcount
+from repro.common.destset import DestinationSet, full_mask
 from repro.common.params import PredictorConfig, SystemConfig
 from repro.common.types import MEMORY_NODE, home_node
 from repro.coherence.sufficiency import is_sufficient, minimal_set
@@ -41,77 +41,9 @@ from repro.protocols.base import (
     RequestOutcome,
 )
 from repro.trace.record import TraceRecord
-from repro.trace.trace import ACCESS_BY_CODE, Trace
+from repro.trace.trace import Trace
 
 _MAX_RETRIES = 3  # third retry resorts to broadcast (Section 4.1)
-
-
-class _PredictorList(list):
-    """The per-node predictor list, with refresh-on-mutation.
-
-    The protocol caches hot-path state derived from the predictor
-    instances (bound training methods, the needs-truth flag).  Any
-    mutation of the list — item assignment by an ablation harness,
-    ``append``/``extend``, slicing assignment — refreshes those caches
-    immediately, so a swapped-in predictor is trained from the very
-    next request whether it arrives via :meth:`handle`, a direct
-    ``_handle_fast`` call, or a columnar replay.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "MulticastSnoopingProtocol", items):
-        super().__init__(items)
-        self._owner = owner
-
-    def _refresh(self) -> None:
-        self._owner._prepare_fast_run()
-
-    def __setitem__(self, index, value):
-        super().__setitem__(index, value)
-        self._refresh()
-
-    def __delitem__(self, index):
-        super().__delitem__(index)
-        self._refresh()
-
-    def __iadd__(self, other):
-        result = super().__iadd__(other)
-        self._refresh()
-        return result
-
-    def append(self, value):
-        super().append(value)
-        self._refresh()
-
-    def extend(self, values):
-        super().extend(values)
-        self._refresh()
-
-    def insert(self, index, value):
-        super().insert(index, value)
-        self._refresh()
-
-    def pop(self, index=-1):
-        value = super().pop(index)
-        self._refresh()
-        return value
-
-    def remove(self, value):
-        super().remove(value)
-        self._refresh()
-
-    def clear(self):
-        super().clear()
-        self._refresh()
-
-    def sort(self, **kwargs):
-        super().sort(**kwargs)
-        self._refresh()
-
-    def reverse(self):
-        super().reverse()
-        self._refresh()
 
 
 class MulticastSnoopingProtocol(CoherenceProtocol):
@@ -146,43 +78,10 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
                 instance.bind(self.state, node)
             instances.append(instance)
         self._full_mask = full_mask(config.n_processors)
-        self._apply_fast = self.state.apply_fast
-        self._use_pc_index = self.predictor_config.use_pc_index
-        self._granularity = self.predictor_config.index_granularity
+        #: The per-node predictors (index = node id).  A plain list:
+        #: every replay reads it afresh, so ablation harnesses may
+        #: swap instances in between (or before) runs at will.
         self.predictors = instances
-
-    @property
-    def predictors(self) -> List[DestinationSetPredictor]:
-        """The per-node predictors (index = node id).
-
-        The returned sequence refreshes the protocol's hot-path
-        caches on any mutation (item assignment, append, ...), so
-        ablation harnesses can swap instances in at will.
-        """
-        return self._predictors
-
-    @predictors.setter
-    def predictors(self, instances: List[DestinationSetPredictor]) -> None:
-        self._predictors = _PredictorList(self, instances)
-        self._prepare_fast_run()
-
-    def _prepare_fast_run(self) -> None:
-        # Subclasses and ablation harnesses may swap predictors in
-        # after construction; whole-list assignment lands in the
-        # property setter and item-level mutation in _PredictorList,
-        # both of which re-run this refresh immediately.  Columnar
-        # replays refresh once more on entry, which also covers
-        # subclasses that replace ``_predictors`` wholesale.
-        self._train_external_fns = [
-            p.train_external_key for p in self._predictors
-        ]
-        # Directory-feedback training is a no-op for most policies;
-        # skip building the truth set per request unless it is needed.
-        self._needs_truth = any(
-            type(p).train_truth
-            is not DestinationSetPredictor.train_truth
-            for p in self._predictors
-        )
 
     # ------------------------------------------------------------------
     def _run_columns(
@@ -191,40 +90,28 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
         """Batched columnar replay (see :mod:`repro.protocols.fused`).
 
         Picks the fastest applicable tier: the fully-inlined Group
-        loop, a policy :class:`~repro.predictors.base.FusedKernel`
-        skeleton, or the generic per-record loop with fused external
-        training batches.  Subclasses that override ``_handle_fast``
-        keep the base per-record loop.
+        loop for stock, uniformly tuned Group lists; a policy's own
+        :class:`~repro.predictors.base.FusedKernel` when every
+        predictor is exactly the class that defines ``fused_kernel``;
+        otherwise the generic kernel over the record methods.  The
+        first two try their native twin first.
         """
-        self._prepare_fast_run()
-        if (
-            type(self)._handle_fast
-            is not MulticastSnoopingProtocol._handle_fast
-        ):
-            super()._run_columns(trace, out)
-            return
-        predictors = self._predictors
-        if not predictors:
-            super()._run_columns(trace, out)
-            return
-        first_type = type(predictors[0])
-        homogeneous = all(type(p) is first_type for p in predictors)
-        if homogeneous and not self._needs_truth and fused.group_uniform(
-            predictors
-        ):
+        predictors = self.predictors
+        if fused.group_uniform(predictors):
             if not kernels.try_group_replay(self, trace, out):
                 fused.run_group(self, trace, out)
             return
-        kernel = (
-            first_type.fused_kernel(predictors) if homogeneous else None
-        )
-        if kernel is not None and (
-            not self._needs_truth or kernel.train_truth is not None
+        first_type = type(predictors[0])
+        kernel = None
+        if "fused_kernel" in vars(first_type) and all(
+            type(p) is first_type for p in predictors
         ):
+            kernel = first_type.fused_kernel(predictors)
+        if kernel is not None:
             if not kernels.try_policy_replay(self, trace, out):
                 fused.run_kernel(self, trace, kernel, out)
             return
-        fused.run_generic(self, trace, out)
+        fused.run_kernel(self, trace, fused.generic_kernel(self), out)
 
     # ------------------------------------------------------------------
     def _handle(self, record: TraceRecord) -> RequestOutcome:
@@ -288,84 +175,6 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
             indirection=not sufficient,
             latency_class=latency_class,
             retries=retries,
-        )
-
-    # ------------------------------------------------------------------
-    def _handle_fast(self, address, pc, requester, code, block):
-        """Scalar kernel: identical transaction logic on raw bitmasks."""
-        n = self.config.n_processors
-        access = ACCESS_BY_CODE[code]
-        key = (
-            pc if self._use_pc_index else address // self._granularity
-        )
-        predictor = self._predictors[requester]
-        predicted = predictor.predict_key(key, address, pc, access)
-
-        home = (block >> self._block_shift) % n
-        minimal = (1 << requester) | (1 << home)
-        destination = predicted._bits | minimal
-
-        responder, required = self._apply_fast(block, requester, code)[2:]
-        # The destination always covers the requester and home (the
-        # minimal set is unioned in), so sufficiency reduces to
-        # covering the required processors (Section 4.1).
-        sufficient = required & ~destination == 0
-
-        # Initial multicast: delivered to every member but the requester.
-        request_messages = popcount(destination) - 1
-        delivered = destination
-
-        retries = 0
-        retry_messages = 0
-        if sufficient:
-            latency_ns = (
-                self._lat_memory if responder == MEMORY_NODE
-                else self._lat_direct
-            )
-        else:
-            corrected = required | minimal
-            retries = 1
-            retry_messages = popcount(corrected) - 1
-            delivered |= corrected
-            if self.race_probability:
-                # Window-of-vulnerability races re-issue the retry; the
-                # third retry falls back to broadcast (Section 4.1).
-                while (
-                    retries < _MAX_RETRIES
-                    and self._race_rng.random() < self.race_probability
-                ):
-                    retries += 1
-                    if retries >= _MAX_RETRIES:
-                        corrected = self._full_mask
-                    retry_messages += popcount(corrected) - 1
-                    delivered |= corrected
-            latency_ns = self._lat_indirect
-
-        # Training (Section 3.1): data-response training at the
-        # requester, external-request training at every node that
-        # received the request, directory feedback when the policy
-        # consumes it.
-        predictor.train_response_key(
-            key, address, pc, responder, access, required != 0
-        )
-        train_external_fns = self._train_external_fns
-        external = delivered & ~(1 << requester)
-        while external:
-            low = external & -external
-            train_external_fns[low.bit_length() - 1](
-                key, address, pc, requester, access
-            )
-            external ^= low
-        if self._needs_truth:
-            predictor.train_truth(
-                address,
-                pc,
-                DestinationSet._from_bits(n, required | (1 << home)),
-            )
-
-        return (
-            request_messages, 0, retry_messages, 1,
-            0 if sufficient else 1, latency_ns, retries,
         )
 
     # ------------------------------------------------------------------

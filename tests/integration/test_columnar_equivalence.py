@@ -18,17 +18,29 @@ installed.
 
 import pytest
 
+from repro import kernels
 from repro.common import backend as _backend
+from repro.common.destset import DestinationSet
 from repro.common.params import PredictorConfig, SystemConfig
 from repro.evaluation.runtime import make_protocol
-from repro.predictors.registry import PAPER_POLICIES
+from repro.predictors.broadcast_if_shared import BroadcastIfSharedPredictor
+from repro.predictors.group import GroupPredictor
+from repro.predictors.owner import OwnerPredictor
+from repro.predictors.owner_group import OwnerGroupPredictor
+from repro.predictors.registry import (
+    PAPER_POLICIES,
+    PREDICTOR_NAMES,
+    create_predictor,
+)
+from repro.predictors.sticky_spatial import StickySpatialPredictor
+from repro.protocols.multicast import MulticastSnoopingProtocol
 from repro.timing.system import TimingSimulator
 from repro.trace.trace import Trace
 from repro.workloads import WORKLOAD_NAMES, create_workload
 
 N_REFERENCES = 4_000
 
-PROTOCOL_LABELS = ("directory", "broadcast-snooping", *PAPER_POLICIES)
+PROTOCOL_LABELS = ("directory", "broadcast-snooping", *PREDICTOR_NAMES)
 
 
 BACKENDS = tuple(
@@ -144,9 +156,7 @@ def test_runtime_result_identical(traces, workload, label):
     assert fast_result == slow_result
 
 
-@pytest.mark.parametrize(
-    "policy", (*PAPER_POLICIES, "sticky-spatial", "bandwidth-adaptive")
-)
+@pytest.mark.parametrize("policy", PREDICTOR_NAMES)
 def test_predictor_tables_identical(traces, policy):
     """Fused batch training leaves tables exactly as per-event calls.
 
@@ -169,6 +179,113 @@ def test_predictor_tables_identical(traces, policy):
         objects
     )
     assert columnar.state._blocks == objects.state._blocks
+
+
+def _mixed_list(n_nodes, config):
+    """Owner / Group / StickySpatial round-robin over the nodes."""
+    cycle = ("owner", "group", "sticky-spatial")
+    return [
+        create_predictor(cycle[node % 3], n_nodes, config)
+        for node in range(n_nodes)
+    ]
+
+
+def _non_uniform_group_list(n_nodes, config):
+    """Stock Groups, one with a wider counter (a different threshold)."""
+    predictors = [GroupPredictor(n_nodes, config) for _ in range(n_nodes)]
+    predictors[3] = GroupPredictor(n_nodes, config, counter_bits=3)
+    return predictors
+
+
+@pytest.mark.parametrize(
+    "build", (_mixed_list, _non_uniform_group_list),
+    ids=("mixed", "non-uniform-group"),
+)
+def test_predictor_list_tables_identical(traces, build):
+    """Predictor lists no policy kernel covers replay through the
+    generic kernel (including directory feedback for the mixed list's
+    sticky-spatial nodes) exactly as through the record methods."""
+    trace = traces["oltp"]
+    config = SystemConfig()
+    predictor_config = PredictorConfig()
+
+    def protocol():
+        proto = MulticastSnoopingProtocol(config, "group", predictor_config)
+        proto.predictors = build(config.n_processors, predictor_config)
+        return proto
+
+    columnar = protocol()
+    columnar.run(trace)
+    objects = protocol()
+    objects.run(_object_trace(trace))
+
+    assert columnar.totals == objects.totals
+    assert _predictor_table_state(columnar) == _predictor_table_state(
+        objects
+    )
+    assert columnar.state._blocks == objects.state._blocks
+
+
+def _always_broadcast(base):
+    """A subclass of ``base`` overriding only the record ``predict``."""
+
+    def predict(self, address, pc, access):
+        return DestinationSet.broadcast(self.n_nodes)
+
+    return type(f"AlwaysBroadcast{base.__name__}", (base,), {
+        "predict": predict,
+    })
+
+
+ALWAYS_BROADCAST = {
+    base.policy_name: _always_broadcast(base)
+    for base in (
+        OwnerPredictor,
+        BroadcastIfSharedPredictor,
+        OwnerGroupPredictor,
+        StickySpatialPredictor,
+    )
+}
+
+
+@pytest.mark.parametrize("backend_name", _backend.available_backends())
+@pytest.mark.parametrize("mix", ("homogeneous", "with-group"))
+@pytest.mark.parametrize("policy", tuple(ALWAYS_BROADCAST))
+def test_subclass_record_override_is_honoured(
+    base_traces, backend_name, mix, policy
+):
+    """A subclass overriding only the record ``predict`` replays the
+    same on the columnar path as on the record path: an inherited
+    ``fused_kernel`` must not bypass the override, alone or mixed with
+    stock Group nodes, and falling back is not a native decline."""
+    config = SystemConfig()
+    predictor_config = PredictorConfig()
+    subclass = ALWAYS_BROADCAST[policy]
+
+    def protocol():
+        proto = MulticastSnoopingProtocol(config, "group", predictor_config)
+        for node in range(config.n_processors):
+            if mix == "homogeneous" or node % 2 == 0:
+                proto.predictors[node] = subclass(
+                    config.n_processors, predictor_config
+                )
+        return proto
+
+    with _backend.use(backend_name):
+        trace = base_traces["oltp"][:]
+        kernels.reset_decline_counts()
+        columnar = protocol()
+        columnar.run(trace)
+        declines = kernels.decline_counts()
+    objects = protocol()
+    objects.run(_object_trace(trace))
+
+    assert columnar.totals == objects.totals
+    assert _predictor_table_state(columnar) == _predictor_table_state(
+        objects
+    )
+    assert columnar.state._blocks == objects.state._blocks
+    assert declines == {}
 
 
 @pytest.mark.parametrize("policy", ("group", "owner", "minimal"))

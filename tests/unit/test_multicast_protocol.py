@@ -185,38 +185,46 @@ class _RecordingPredictor:
 class TestPredictorSwapRefreshesHotCaches:
     """Swapping a predictor in-place must retrain the *new* instance.
 
-    ``proto.predictors[i] = p`` mutates the sequence the property
-    returns; the protocol's cached hot-path state (bound
-    ``train_external`` methods, the needs-truth flag) must refresh
-    immediately — including for direct ``_handle_fast`` calls that
-    never pass through a columnar replay's refresh hook.
+    ``proto.predictors`` is a plain list that every replay reads
+    afresh, so ``proto.predictors[i] = p`` takes effect from the very
+    next request on the record path and the columnar path alike.
     """
-
-    def test_item_assignment_rebinds_training_methods(self, config4):
-        protocol = make(config4, predictor="owner")
-        replacement = _RecordingPredictor().instance
-        protocol.predictors[2] = replacement
-        bound = protocol._train_external_fns[2]
-        assert bound.__self__ is replacement
 
     def test_item_assignment_refreshes_needs_truth(self, config4):
         from repro.predictors.registry import create_predictor
 
-        protocol = make(config4, predictor="owner")
-        assert not protocol._needs_truth
-        protocol.predictors[1] = create_predictor(
-            "sticky-spatial", 4, UNBOUNDED
-        )
-        assert protocol._needs_truth
+        def swapped():
+            protocol = make(config4, predictor="owner")
+            protocol.predictors[1] = create_predictor(
+                "sticky-spatial", 4, UNBOUNDED
+            )
+            return protocol
 
-    def test_swapped_predictor_trains_on_fast_path(self, config4):
-        protocol = make(config4, predictor="broadcast")
-        replacement = _RecordingPredictor().instance
-        protocol.predictors[2] = replacement
-        # A broadcast GETX from node 0 is delivered to every node, so
-        # the swapped-in instance at node 2 must observe it.
-        protocol._handle_fast(0x40, 0x1000, 0, 1, 0x40)
-        assert replacement.external == [(0x40, 0)]
+        records = [
+            (getx if i % 3 == 0 else gets)(0x40 * (i % 5), i % 4)
+            for i in range(40)
+        ]
+        columnar = swapped()
+        columnar.run(make_trace(records))
+        objects = swapped()
+        objects.run(records)
+
+        assert columnar.totals == objects.totals
+        # The swapped-in sticky-spatial learns only from directory
+        # feedback, so a populated table proves train_truth ran.
+        sticky = columnar.predictors[1]
+        assert sticky._entries
+        assert sticky._entries == objects.predictors[1]._entries
+
+        def owners(protocol, node):
+            entries = protocol.predictors[node]._table._entries
+            return {
+                key: (entry.owner, entry.valid)
+                for key, entry in entries.items()
+            }
+
+        for node in (0, 2, 3):
+            assert owners(columnar, node) == owners(objects, node)
 
     def test_swapped_predictor_trains_on_columnar_replay(self, config4):
         protocol = make(config4, predictor="broadcast")
