@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def derive_seed(base_seed: int, *labels: object) -> int:
@@ -32,62 +29,3 @@ def derive_seed(base_seed: int, *labels: object) -> int:
 def make_rng(base_seed: int, *labels: object) -> random.Random:
     """A ``random.Random`` seeded via :func:`derive_seed`."""
     return random.Random(derive_seed(base_seed, *labels))
-
-
-def weighted_choice(
-    rng: random.Random, items: Sequence[T], weights: Sequence[float]
-) -> T:
-    """Pick one of ``items`` with the given (unnormalized) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    target = rng.random() * total
-    cumulative = 0.0
-    for item, weight in zip(items, weights):
-        cumulative += weight
-        if target < cumulative:
-            return item
-    return items[-1]
-
-
-def zipf_rank(rng: random.Random, n: int, exponent: float = 1.0) -> int:
-    """Sample a rank in ``[0, n)`` from a Zipf-like distribution.
-
-    Ranks are drawn with probability proportional to
-    ``1 / (rank + 1) ** exponent``, which matches the heavy-tailed
-    "hot block" locality the paper observes in commercial workloads
-    (Figure 4: a few thousand blocks account for most cache-to-cache
-    misses).  Uses inverse-CDF sampling over a precomputed table-free
-    approximation (rejection-free, O(log n) via bisection would need a
-    table; for generator use we accept O(1) approximate inversion).
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if exponent <= 0:
-        return rng.randrange(n)
-    # Approximate inversion for the Zipf CDF: for exponent ~1 the CDF is
-    # ~ log(rank)/log(n); invert by exponentiation.  This is the
-    # standard "bounded Zipf via inverse transform" approximation.
-    u = rng.random()
-    if abs(exponent - 1.0) < 1e-9:
-        rank = int((n + 1.0) ** u) - 1
-    else:
-        h = 1.0 - exponent
-        norm = ((n + 1.0) ** h - 1.0) / h
-        rank = int((u * norm * h + 1.0) ** (1.0 / h)) - 1
-    if rank < 0:
-        rank = 0
-    if rank >= n:
-        rank = n - 1
-    return rank
-
-
-def shuffled(rng: random.Random, items: Iterable[T]) -> list:
-    """A shuffled copy of ``items``."""
-    result = list(items)
-    rng.shuffle(result)
-    return result

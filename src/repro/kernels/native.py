@@ -18,6 +18,7 @@ where the native tier fell back and why.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import Optional
 
@@ -594,7 +595,10 @@ class _CollectorSession:
     __slots__ = ("_collector", "_native", "_l1", "_l2", "_loaded")
 
     def __init__(self, collector, native_collector):
-        self._collector = collector
+        # A proxy: the collector owns its session, and a strong back
+        # reference would leave the pair (cache state and trace
+        # included) for the cyclic garbage collector to free.
+        self._collector = weakref.proxy(collector)
         self._native = native_collector
         hierarchies = collector._hierarchies
         self._l1 = [h.l1.raw_sets for h in hierarchies]

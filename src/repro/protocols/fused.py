@@ -56,6 +56,23 @@ def _derived(proto, trace: Trace):
     )
 
 
+def keys_match(proto) -> bool:
+    """True when every predictor indexes its table by ``proto``'s keys.
+
+    The derived ``keys`` column follows ``proto.predictor_config``; a
+    predictor built with another ``index_granularity`` or
+    ``use_pc_index`` keys its table differently, so only the generic
+    kernel (whose record methods key by each predictor's own config)
+    may replay its list.
+    """
+    config = proto.predictor_config
+    index = (config.index_granularity, config.use_pc_index)
+    return all(
+        (p.config.index_granularity, p.config.use_pc_index) == index
+        for p in proto.predictors
+    )
+
+
 def group_uniform(predictors) -> bool:
     """True when every predictor is a stock, identically-tuned Group."""
     first = predictors[0]
@@ -343,6 +360,11 @@ def run_kernel(proto, trace: Trace, kernel, out=None) -> None:
     homes = derived.homes
     minimals = derived.minimals
     reqbits = derived.reqbits
+    if not keys_match(proto):
+        # Only the generic kernel runs such lists, and it ignores
+        # ``key``: end a run at any (address, pc) change, so every
+        # record of a run shares each predictor's own table key.
+        keys = list(zip(addresses, pcs))
 
     k_predict = kernel.predict
     k_response = kernel.train_response

@@ -94,19 +94,22 @@ class MulticastSnoopingProtocol(CoherenceProtocol):
         :class:`~repro.predictors.base.FusedKernel` when every
         predictor is exactly the class that defines ``fused_kernel``;
         otherwise the generic kernel over the record methods.  The
-        first two try their native twin first.
+        first two try their native twin first, and both need every
+        predictor to index by the protocol's ``predictor_config``
+        (:func:`fused.keys_match`).
         """
         predictors = self.predictors
-        if fused.group_uniform(predictors):
-            if not kernels.try_group_replay(self, trace, out):
-                fused.run_group(self, trace, out)
-            return
-        first_type = type(predictors[0])
         kernel = None
-        if "fused_kernel" in vars(first_type) and all(
-            type(p) is first_type for p in predictors
-        ):
-            kernel = first_type.fused_kernel(predictors)
+        if fused.keys_match(self):
+            if fused.group_uniform(predictors):
+                if not kernels.try_group_replay(self, trace, out):
+                    fused.run_group(self, trace, out)
+                return
+            first_type = type(predictors[0])
+            if "fused_kernel" in vars(first_type) and all(
+                type(p) is first_type for p in predictors
+            ):
+                kernel = first_type.fused_kernel(predictors)
         if kernel is not None:
             if not kernels.try_policy_replay(self, trace, out):
                 fused.run_kernel(self, trace, kernel, out)

@@ -16,7 +16,6 @@ predictor/protocol behaviour as the original traces.
 
 from repro.workloads.base import PaperProperties, WorkloadModel
 from repro.workloads.patterns import (
-    Access,
     MigratoryRegion,
     PrivateRegion,
     ProducerConsumerRegion,
@@ -30,7 +29,6 @@ from repro.workloads.registry import (
 )
 
 __all__ = [
-    "Access",
     "MigratoryRegion",
     "PaperProperties",
     "PrivateRegion",

@@ -22,7 +22,6 @@ import dataclasses
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.pipeline import CollectionResult, TraceCollector
-from repro.cache.reference import MemoryReference
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
 from repro.common.types import NodeId
@@ -81,7 +80,9 @@ class WorkloadModel(abc.ABC):
         self._regions: List[WeightedRegion] = list(self._build(allocator))
         if not self._regions:
             raise ValueError(f"workload {self.name!r} built no regions")
-        self._node_tables = self._build_node_tables()
+        # Fail at construction, not at generation, when some node has
+        # no eligible region.
+        self.node_region_tables()
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -114,43 +115,22 @@ class WorkloadModel(abc.ABC):
             l2_size=self._scale_pow2(self.config.l2_size),
         )
 
-    def references(self, n_references: int) -> Iterator[MemoryReference]:
-        """Generate ``n_references`` memory references, round-robin.
-
-        Round-robin issue across processors models the paper's
-        totally-ordered interconnect arbitrating among concurrently
-        issuing processors.
-        """
-        rng = make_rng(self.seed, self.name, "references")
-        n_procs = self.config.n_processors
-        ipr = self.instructions_per_reference
-        lo, hi = max(1, ipr // 2), max(1, ipr + ipr // 2)
-        for i in range(n_references):
-            node = i % n_procs
-            regions, cum_weights = self._node_tables[node]
-            region = rng.choices(regions, cum_weights=cum_weights, k=1)[0]
-            access = region.access(node, rng)
-            yield MemoryReference(
-                node=node,
-                address=access.address,
-                pc=access.pc,
-                is_write=access.is_write,
-                instructions=rng.randint(lo, hi),
-            )
-
     def reference_chunks(
         self, n_references: int, chunk_size: Optional[int] = None
     ) -> "Iterator[ReferenceChunk]":
         """Generate the reference stream as column chunks.
 
-        The batched fast path: the same round-robin node schedule as
-        :meth:`references`, but synthesized by the chunked engine
-        (:mod:`repro.workloads.genchunks`) — vectorized region
-        sampling and address draws under numpy, with a byte-identical
-        pure-Python fallback (``REPRO_BACKEND=pure``).  The chunked
-        stream has its own ``make_rng``-style determinism contract
-        (seed + workload name + stream label), so it is reproducible
-        but not record-for-record equal to the scalar oracle stream.
+        The model's one reference generator.  Processors issue
+        round-robin (reference ``i`` comes from node
+        ``i % n_processors``), modelling the paper's totally-ordered
+        interconnect arbitrating among concurrently issuing
+        processors.  The chunked engine
+        (:mod:`repro.workloads.genchunks`) synthesizes the columns:
+        vectorized under numpy, with a byte-identical pure-Python
+        fallback (``REPRO_BACKEND=pure``) whose per-record sampler
+        loops are the readable specification.  Every draw is a pure
+        function of seed, workload name, stream label and counter, so
+        the stream does not depend on ``chunk_size``.
         """
         from repro.workloads.genchunks import (
             DEFAULT_CHUNK_SIZE,
@@ -162,23 +142,16 @@ class WorkloadModel(abc.ABC):
         source = ChunkedReferenceSource(self)
         return source.chunks(n_references, chunk_size)
 
-    def collect(
-        self, n_references: int, batched: bool = True
-    ) -> CollectionResult:
+    def collect(self, n_references: int) -> CollectionResult:
         """Run the reference stream through the scaled cache pipeline.
 
         Returns the L2-miss coherence trace plus instruction counters —
         the direct analogue of the paper's Simics trace collection.
-        ``batched=True`` (the default) generates and filters the
-        stream in column chunks; ``batched=False`` runs the original
-        record-at-a-time oracle path.
+        The stream of :meth:`reference_chunks` is filtered chunk by
+        chunk (:meth:`TraceCollector.run_chunks`).
         """
         collector = TraceCollector(self.scaled_config(), name=self.name)
-        if batched:
-            return collector.run_chunks(
-                self.reference_chunks(n_references)
-            )
-        return collector.run(self.references(n_references))
+        return collector.run_chunks(self.reference_chunks(n_references))
 
     # ------------------------------------------------------------------
     def node_region_tables(
@@ -187,9 +160,9 @@ class WorkloadModel(abc.ABC):
         """Per-node eligible region indices and cumulative weights.
 
         The single source of truth for region eligibility (membership
-        and positive weight), shared by the scalar generator's
-        ``rng.choices`` tables and the chunked engine's threshold
-        tables.  Indices refer to :attr:`regions` order.
+        and positive weight), from which the chunked engine builds its
+        region-selection threshold tables.  Indices refer to
+        :attr:`regions` order.
         """
         tables: List[Tuple[List[int], List[float]]] = []
         for node in range(self.config.n_processors):
@@ -207,14 +180,6 @@ class WorkloadModel(abc.ABC):
                 )
             tables.append((indices, cumulative))
         return tables
-
-    def _build_node_tables(
-        self,
-    ) -> List[Tuple[List[Region], List[float]]]:
-        return [
-            ([self._regions[i][0] for i in indices], cumulative)
-            for indices, cumulative in self.node_region_tables()
-        ]
 
     def _scale_pow2(self, size: int) -> int:
         scaled = max(4096, int(size * self.scale))

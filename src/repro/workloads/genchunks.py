@@ -1,12 +1,13 @@
-"""Batched (chunked, columnar) workload-reference generation.
+"""Chunked, columnar workload-reference generation.
 
-The scalar path (:meth:`WorkloadModel.references`) draws one record at
-a time from a Mersenne-Twister stream; it remains the readable
-specification and the equivalence oracle.  This module is the cold
-path's fast engine: references are synthesized in *chunks of columns*
-(nodes, addresses, pcs, write flags, instruction gaps) so the cache
-pipeline and trace container can consume them without per-record
-object allocation.
+The only reference generator: :meth:`WorkloadModel.reference_chunks`
+synthesizes every trace in *chunks of columns* (nodes, addresses,
+pcs, write flags, instruction gaps) so the cache pipeline and trace
+container can consume them without per-record object allocation.
+Each sharing pattern of :mod:`repro.workloads.patterns` has one
+sampler here; its per-record ``sample_py`` loop is the pattern's
+readable specification, and its vectorized ``sample_np`` must return
+the same integers.
 
 Determinism contract
 --------------------
@@ -15,9 +16,9 @@ Every random decision is a pure function of ``(seed, workload name,
 stream label, counter)``:
 
 - a **counter-based generator** (splitmix64 over a
-  :func:`~repro.common.rng.derive_seed`-derived key) replaces the
-  sequential Mersenne Twister, so any index of any stream can be
-  computed independently — which is what makes the draws vectorizable;
+  :func:`~repro.common.rng.derive_seed`-derived key), not a
+  sequential one, so any index of any stream can be computed
+  independently — which is what makes the draws vectorizable;
 - region selection and bounded-Zipf address draws go through
   precomputed **threshold tables** searched with
   ``bisect_right``/``searchsorted``, and fraction checks compare
@@ -36,10 +37,9 @@ across backends for every workload in the registry.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from math import log
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.common import backend as _backend
 from repro.common.rng import derive_seed
@@ -96,12 +96,15 @@ def _draws53_np(np_, key: int, start: int, count: int):
 class _ZipfThresholds:
     """Inverse-CDF thresholds for the bounded-Zipf address draw.
 
-    Reproduces the distribution of :func:`repro.common.rng.zipf_rank`
-    (the same closed-form approximate inversion) as a monotone
-    threshold table over the uniform draw, so both backends sample by
-    table search instead of transcendental math — table values are
-    computed once in pure Python floats and shared, which is what
-    makes numpy and pure-Python samples bit-identical.
+    Rank ``r`` of ``[0, n)`` takes the uniform draws ``u`` with
+    ``F(r) <= u < F(r + 1)``, where ``F(r) = ((r + 1) ** h - 1) /
+    ((n + 1) ** h - 1)`` and ``h = 1 - exponent`` (``F(r) = log(r + 1)
+    / log(n + 1)`` at exponent 1): a bounded-Zipf inverse CDF giving
+    the heavy-tailed "hot block" locality of the paper's Figure 4.  A
+    non-positive exponent draws uniformly.  Both backends sample by
+    searching this one threshold table instead of transcendental math
+    — table values are computed once in pure Python floats and shared,
+    which is what makes numpy and pure-Python samples bit-identical.
     """
 
     __slots__ = ("n", "uniform", "_thresholds", "_thresholds_np")
@@ -184,28 +187,6 @@ class ReferenceChunk:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def chunks_from_references(
-    references: Iterable, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Iterator[ReferenceChunk]:
-    """Column chunks from a scalar :class:`MemoryReference` stream.
-
-    Bridges record-oriented generators (the scalar oracle path, saved
-    streams) onto the chunk-consuming collector fast path.
-    """
-    iterator = iter(references)
-    while True:
-        batch = list(itertools.islice(iterator, chunk_size))
-        if not batch:
-            return
-        yield ReferenceChunk(
-            [r.node for r in batch],
-            [r.address for r in batch],
-            [r.pc for r in batch],
-            [1 if r.is_write else 0 for r in batch],
-            [r.instructions for r in batch],
-        )
 
 
 # ----------------------------------------------------------------------

@@ -17,32 +17,22 @@ literature it cites:
   occasional writes trigger wide invalidations ("3+" write misses in
   Figure 2).
 
-A region is a stateful generator: ``access(node, rng)`` returns the
-next :class:`Access` that processor would make to the region.
+A region is a description, not a generator: it carries its geometry,
+membership and sampling constants, and :meth:`Region.batch_spec` hands
+the constants to the column sampler in :mod:`repro.workloads.genchunks`
+whose per-record ``sample_py`` loop is the pattern's specification.
 """
 
 from __future__ import annotations
 
 import abc
-import dataclasses
 import itertools
-import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.common.rng import zipf_rank
 from repro.common.types import Address, NodeId
 
 #: Byte distance between synthetic static instructions (SPARC-like).
 _PC_STRIDE = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class Access:
-    """One memory access produced by a region."""
-
-    address: Address
-    is_write: bool
-    pc: Address
 
 
 class Region(abc.ABC):
@@ -85,14 +75,6 @@ class Region(abc.ABC):
         """One past the last byte of the region."""
         return self.base + self.size_bytes
 
-    def block_address(self, block_index: int) -> Address:
-        """Address of the region's ``block_index``-th block."""
-        return self.base + (block_index % self.n_blocks) * self.block_size
-
-    def pc_site(self, site: int) -> Address:
-        """PC of the region's ``site``-th static instruction."""
-        return self._pc_base + (site % self._n_pc_sites) * _PC_STRIDE
-
     @property
     def pc_base(self) -> Address:
         """First PC of the region's static-instruction range."""
@@ -104,25 +86,16 @@ class Region(abc.ABC):
         return self._n_pc_sites
 
     @abc.abstractmethod
-    def access(self, node: NodeId, rng: random.Random) -> Access:
-        """Produce ``node``'s next access to this region."""
-
-    @abc.abstractmethod
     def batch_spec(self) -> Tuple[str, dict]:
         """``(kind, params)`` for the batched generation layer.
 
         ``kind`` selects the column sampler in
         :mod:`repro.workloads.genchunks`; ``params`` carries the
-        region's sampling constants.  The batched layer keeps its own
-        cursor state, so generating chunks never perturbs this
-        region's scalar (record-at-a-time) generator.
+        region's sampling constants.  The sampler owns all generation
+        state (cursors, run parity), so a region is never mutated by
+        generating from it and one model can feed any number of
+        streams.
         """
-
-    def _check_member(self, node: NodeId) -> None:
-        if node not in self.members:
-            raise ValueError(
-                f"node {node} is not a member of region at {self.base:#x}"
-            )
 
 
 class PrivateRegion(Region):
@@ -135,8 +108,7 @@ class PrivateRegion(Region):
     the store ratio.
     """
 
-    #: Hot-block skew of the non-streaming draws (shared by the scalar
-    #: and batched samplers).
+    #: Hot-block skew of the non-streaming draws.
     zipf_exponent = 1.0
 
     def __init__(
@@ -156,24 +128,6 @@ class PrivateRegion(Region):
         self.owner = owner
         self.write_fraction = write_fraction
         self.streaming_fraction = streaming_fraction
-        self._cursor = 0
-
-    def access(self, node: NodeId, rng: random.Random) -> Access:
-        self._check_member(node)
-        if rng.random() < self.streaming_fraction:
-            block = self._cursor
-            self._cursor = (self._cursor + 1) % self.n_blocks
-        else:
-            block = zipf_rank(rng, self.n_blocks, self.zipf_exponent)
-        is_write = rng.random() < self.write_fraction
-        site = 0 if is_write else 1
-        if block == self._cursor:
-            site += 2  # streaming loop has its own static instructions
-        return Access(
-            address=self.block_address(block),
-            is_write=is_write,
-            pc=self.pc_site(site + rng.randrange(2) * 4),
-        )
 
     def batch_spec(self) -> Tuple[str, dict]:
         return (
@@ -189,16 +143,15 @@ class PrivateRegion(Region):
 class MigratoryRegion(Region):
     """Lock-protected data migrating among a pool of processors.
 
-    Whenever a member that is not the current holder accesses the
-    region, the region migrates to it and the node performs a
-    read-modify-write: a load miss (finding the previous owner's dirty
-    copy) followed by a store (upgrading and invalidating it).  This is
-    the canonical migratory/pairwise pattern: both the read and the
-    write need exactly one other processor.
+    Each visit is a read-modify-write: a load of a Zipf-drawn block
+    (finding the previous holder's dirty copy) and, when the region's
+    next access comes from the same node, a store to that block
+    (upgrading and invalidating it).  This is the canonical
+    migratory/pairwise pattern: both the read and the write need
+    exactly one other processor.
     """
 
-    #: Skew of the per-visit block draw (shared by the scalar and
-    #: batched samplers; milder than private reuse).
+    #: Skew of the per-visit block draw (milder than private reuse).
     zipf_exponent = 0.8
 
     def __init__(
@@ -208,24 +161,9 @@ class MigratoryRegion(Region):
         block_size: int,
         pool: Sequence[NodeId],
         pc_base: Address,
-        blocks_per_visit: int = 2,
         n_pc_sites: int = 8,
     ):
         super().__init__(base, n_blocks, block_size, pool, pc_base, n_pc_sites)
-        self._holder: Optional[NodeId] = None
-        self._pending_writes: Dict[NodeId, Address] = {}
-        self.blocks_per_visit = max(1, blocks_per_visit)
-
-    def access(self, node: NodeId, rng: random.Random) -> Access:
-        self._check_member(node)
-        pending = self._pending_writes.pop(node, None)
-        if pending is not None and self._holder == node:
-            return Access(address=pending, is_write=True, pc=self.pc_site(1))
-        self._holder = node
-        block = zipf_rank(rng, self.n_blocks, exponent=self.zipf_exponent)
-        address = self.block_address(block)
-        self._pending_writes[node] = address
-        return Access(address=address, is_write=False, pc=self.pc_site(0))
 
     def batch_spec(self) -> Tuple[str, dict]:
         return ("migratory", {"exponent": self.zipf_exponent})
@@ -257,31 +195,6 @@ class ProducerConsumerRegion(Region):
         )
         self.producer = producer
         self.consumers = tuple(consumers)
-        self._write_cursor = 0
-        self._read_cursors: Dict[NodeId, int] = {
-            consumer: 0 for consumer in self.consumers
-        }
-
-    def access(self, node: NodeId, rng: random.Random) -> Access:
-        self._check_member(node)
-        if node == self.producer:
-            block = self._write_cursor
-            self._write_cursor = (self._write_cursor + 1) % self.n_blocks
-            return Access(
-                address=self.block_address(block),
-                is_write=True,
-                pc=self.pc_site(0),
-            )
-        cursor = self._read_cursors[node]
-        # Consumers chase the producer but never read ahead of it.
-        if cursor == self._write_cursor:
-            cursor = (self._write_cursor - 1) % self.n_blocks
-        self._read_cursors[node] = (cursor + 1) % self.n_blocks
-        return Access(
-            address=self.block_address(cursor),
-            is_write=False,
-            pc=self.pc_site(1 + self.consumers.index(node) % 4),
-        )
 
     def batch_spec(self) -> Tuple[str, dict]:
         return (
@@ -317,16 +230,6 @@ class ReadMostlyRegion(Region):
             raise ValueError("write_fraction must be in [0, 1]")
         self.write_fraction = write_fraction
         self.hot_exponent = hot_exponent
-
-    def access(self, node: NodeId, rng: random.Random) -> Access:
-        self._check_member(node)
-        block = zipf_rank(rng, self.n_blocks, exponent=self.hot_exponent)
-        is_write = rng.random() < self.write_fraction
-        return Access(
-            address=self.block_address(block),
-            is_write=is_write,
-            pc=self.pc_site(0 if is_write else 1 + block % 3),
-        )
 
     def batch_spec(self) -> Tuple[str, dict]:
         return (

@@ -288,6 +288,52 @@ def test_subclass_record_override_is_honoured(
     assert declines == {}
 
 
+@pytest.mark.parametrize("backend_name", _backend.available_backends())
+@pytest.mark.parametrize(
+    "own_config",
+    (PredictorConfig(index_granularity=64), PredictorConfig(use_pc_index=True)),
+    ids=("block-indexed", "pc-indexed"),
+)
+@pytest.mark.parametrize(
+    "policy",
+    ("owner", "broadcast-if-shared", "group", "owner-group",
+     "sticky-spatial"),
+)
+def test_predictors_keep_their_own_index_config(
+    base_traces, backend_name, own_config, policy
+):
+    """Stock predictors built with an index config other than the
+    protocol's key their tables by their own config on the columnar
+    path too: the policy kernels and the inlined Group loop (which
+    read the protocol's key column) must stand aside, and standing
+    aside is not a native decline."""
+    config = SystemConfig()
+
+    def protocol():
+        proto = MulticastSnoopingProtocol(config, "group")
+        proto.predictors = [
+            create_predictor(policy, config.n_processors, own_config)
+            for _ in range(config.n_processors)
+        ]
+        return proto
+
+    with _backend.use(backend_name):
+        trace = base_traces["oltp"][:]
+        kernels.reset_decline_counts()
+        columnar = protocol()
+        columnar.run(trace)
+        declines = kernels.decline_counts()
+    objects = protocol()
+    objects.run(_object_trace(trace))
+
+    assert columnar.totals == objects.totals
+    assert _predictor_table_state(columnar) == _predictor_table_state(
+        objects
+    )
+    assert columnar.state._blocks == objects.state._blocks
+    assert declines == {}
+
+
 @pytest.mark.parametrize("policy", ("group", "owner", "minimal"))
 def test_race_probability_path_identical(traces, policy):
     """The window-of-vulnerability retry path draws the same RNG

@@ -1,15 +1,17 @@
 """Unit tests for the batched generation engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cache.pipeline import TraceCollector
-from repro.cache.reference import MemoryReference
 from repro.common import backend as _backend
 from repro.workloads import create_workload
 from repro.workloads.genchunks import (
+    ReferenceChunk,
     _ZipfThresholds,
     _draws53_py,
-    chunks_from_references,
 )
 
 HAS_NUMPY = "numpy" in _backend.available_backends()
@@ -106,16 +108,6 @@ class TestReferenceChunks:
         chunk = next(model.reference_chunks(2_000))
         assert all(low <= g <= high for g in chunk.instructions)
 
-    def test_chunks_from_references_round_trip(self):
-        references = [
-            MemoryReference(i % 4, 64 * i, 0x100 + i, bool(i % 2), 5)
-            for i in range(10)
-        ]
-        chunks = list(chunks_from_references(references, chunk_size=4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert chunks[0].addresses == [0, 64, 128, 192]
-        assert chunks[0].writes == [0, 1, 0, 1]
-
     def test_rejects_bad_chunk_size(self):
         model = create_workload("ocean")
         with pytest.raises(ValueError, match="chunk_size"):
@@ -133,9 +125,9 @@ class TestProcessChunk:
     def test_rejects_out_of_range_nodes(self):
         model = create_workload("oltp")
         collector = TraceCollector(model.scaled_config())
-        bad = MemoryReference(17, 0x40, 0x100, False, 5)
+        bad = ReferenceChunk([17], [0x40], [0x100], [0], [5])
         with pytest.raises(ValueError, match="nodes outside"):
-            collector.run_chunks(chunks_from_references([bad]))
+            collector.run_chunks([bad])
 
     def test_miss_count_is_returned(self):
         model = create_workload("oltp")
@@ -144,3 +136,21 @@ class TestProcessChunk:
         misses = collector.process_chunk(chunk)
         assert misses == len(collector.result().trace)
         assert collector.result().references == 500
+
+    def test_native_session_leaves_no_reference_cycle(self):
+        """A collector that ran native chunks is freed as soon as its
+        last reference goes, not at the next cyclic collection."""
+        if not _backend.native_available():
+            pytest.skip("native kernel extension not built")
+        model = create_workload("oltp")
+        collector = TraceCollector(model.scaled_config())
+        with _backend.use("native"):
+            collector.run_chunks(model.reference_chunks(500))
+        assert collector._kernel_session
+        alive = weakref.ref(collector)
+        gc.disable()
+        try:
+            del collector
+            assert alive() is None
+        finally:
+            gc.enable()

@@ -1,11 +1,6 @@
 """Unit tests for deterministic RNG helpers."""
 
-import random
-
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.common.rng import derive_seed, make_rng, weighted_choice, zipf_rank
+from repro.common.rng import derive_seed, make_rng
 
 
 class TestDeriveSeed:
@@ -22,52 +17,3 @@ class TestDeriveSeed:
         a = make_rng(7, "x").random()
         b = make_rng(7, "x").random()
         assert a == b
-
-
-class TestWeightedChoice:
-    def test_degenerate_weight_always_chosen(self):
-        rng = random.Random(0)
-        for _ in range(50):
-            assert weighted_choice(rng, ["a", "b"], [1.0, 0.0]) == "a"
-
-    def test_respects_weights_statistically(self):
-        rng = random.Random(0)
-        picks = [
-            weighted_choice(rng, ["a", "b"], [3.0, 1.0]) for _ in range(4000)
-        ]
-        fraction_a = picks.count("a") / len(picks)
-        assert 0.70 < fraction_a < 0.80
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), [], [])
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), ["a"], [1.0, 2.0])
-
-    def test_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), ["a"], [0.0])
-
-
-class TestZipfRank:
-    @given(st.integers(1, 10_000), st.integers(0, 2**32))
-    def test_in_range(self, n, seed):
-        rank = zipf_rank(random.Random(seed), n)
-        assert 0 <= rank < n
-
-    def test_skewed_towards_low_ranks(self):
-        rng = random.Random(1)
-        ranks = [zipf_rank(rng, 1000) for _ in range(5000)]
-        low = sum(1 for r in ranks if r < 10)
-        assert low > len(ranks) * 0.3  # heavy head
-
-    def test_zero_exponent_is_uniform_range(self):
-        rng = random.Random(2)
-        ranks = {zipf_rank(rng, 8, exponent=0.0) for _ in range(500)}
-        assert ranks == set(range(8))
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            zipf_rank(random.Random(0), 0)

@@ -1,10 +1,26 @@
 """Unit tests for the six workload models and the registry."""
 
+from bisect import bisect_right
+
 import pytest
 
+from repro.common import backend as _backend
 from repro.common.params import SystemConfig
 from repro.workloads import WORKLOAD_NAMES, create_workload, iter_workloads
 from repro.workloads.base import WorkloadModel
+
+
+def columns(model, n_references):
+    """``(nodes, addresses, pcs, writes, gaps)`` of the first
+    ``n_references`` generated references."""
+    out = ([], [], [], [], [])
+    for chunk in model.reference_chunks(n_references):
+        for column, values in zip(out, (
+            chunk.nodes, chunk.addresses, chunk.pcs, chunk.writes,
+            chunk.instructions,
+        )):
+            column.extend(values)
+    return out
 
 
 class TestRegistry:
@@ -33,18 +49,17 @@ class TestEachWorkload:
         assert 0 < model.paper.directory_indirection_pct <= 100
 
     def test_references_are_deterministic(self, name):
-        a = list(create_workload(name, seed=3).references(200))
-        b = list(create_workload(name, seed=3).references(200))
+        a = columns(create_workload(name, seed=3), 200)
+        b = columns(create_workload(name, seed=3), 200)
         assert a == b
 
     def test_seeds_differ(self, name):
-        a = list(create_workload(name, seed=3).references(200))
-        b = list(create_workload(name, seed=4).references(200))
+        a = columns(create_workload(name, seed=3), 200)
+        b = columns(create_workload(name, seed=4), 200)
         assert a != b
 
     def test_round_robin_issue(self, name):
-        model = create_workload(name)
-        nodes = [r.node for r in model.references(32)]
+        nodes = columns(create_workload(name), 32)[0]
         assert nodes == [i % 16 for i in range(32)]
 
     def test_every_node_has_regions(self, name):
@@ -70,8 +85,32 @@ class TestEachWorkload:
         assert scaled.n_processors == model.config.n_processors
 
     def test_instruction_gaps_positive(self, name):
+        gaps = columns(create_workload(name), 100)[4]
+        assert all(gap >= 1 for gap in gaps)
+
+    @pytest.mark.parametrize(
+        "backend_name",
+        [b for b in _backend.available_backends() if b != "native"],
+    )
+    def test_references_stay_inside_member_regions(
+        self, name, backend_name
+    ):
+        """Every reference falls in a region its issuing node belongs
+        to, on every generation backend."""
         model = create_workload(name)
-        assert all(r.instructions >= 1 for r in model.references(100))
+        regions = sorted(
+            (region for region, _ in model.regions),
+            key=lambda region: region.base,
+        )
+        bases = [region.base for region in regions]
+        with _backend.use(backend_name):
+            nodes, addresses, _, _, _ = columns(model, 5_000)
+        for node, address in zip(nodes, addresses):
+            region = regions[bisect_right(bases, address) - 1]
+            assert region.base <= address < region.end
+            assert node in region.members, (
+                f"node {node} accessed {address:#x} outside its regions"
+            )
 
 
 class TestScaling:
@@ -86,7 +125,7 @@ class TestScaling:
     def test_other_processor_counts(self):
         config = SystemConfig(n_processors=8)
         model = create_workload("ocean", config=config)
-        nodes = {r.node for r in model.references(64)}
+        nodes = set(columns(model, 64)[0])
         assert nodes == set(range(8))
 
     def test_collect_produces_trace(self):

@@ -1,9 +1,18 @@
-"""Unit tests for sharing-pattern region primitives."""
+"""Unit tests for the sharing-pattern regions and their samplers.
 
-import random
+Regions carry geometry, membership and constructor validation; the
+behaviour of each pattern lives in its column sampler
+(:mod:`repro.workloads.genchunks`), which is driven here with chosen
+node sequences.  Every case runs the per-record ``sample_py`` loop
+and, when numpy is installed, checks that ``sample_np`` returns the
+same integers.
+"""
 
 import pytest
 
+from repro.common import backend as _backend
+from repro.common.rng import derive_seed
+from repro.workloads.genchunks import _SAMPLERS
 from repro.workloads.patterns import (
     AddressSpaceAllocator,
     MigratoryRegion,
@@ -12,9 +21,38 @@ from repro.workloads.patterns import (
     ReadMostlyRegion,
 )
 
+HAS_NUMPY = "numpy" in _backend.available_backends()
+KEYS = tuple(derive_seed(7, "patterns", lane) for lane in range(4))
 
-def rng():
-    return random.Random(7)
+
+def sample(region, *batches):
+    """``(addresses, writes, pcs)`` of ``region``'s sampler over the
+    node ``batches``, sampled in order as consecutive chunks.
+
+    Runs ``sample_py``; with numpy installed, a second sampler runs
+    ``sample_np`` over the same batches and must agree exactly.
+    """
+    kind, params = region.batch_spec()
+    sampler = _SAMPLERS[kind](region, KEYS, params)
+    out = ([], [], [])
+    for batch in batches:
+        for column, values in zip(
+            out, sampler.sample_py(list(batch), len(batch))
+        ):
+            column.extend(values)
+    if HAS_NUMPY:
+        import numpy
+
+        sampler = _SAMPLERS[kind](region, KEYS, params)
+        vectorized = ([], [], [])
+        for batch in batches:
+            produced = sampler.sample_np(
+                numpy, numpy.asarray(batch, dtype=numpy.int64), len(batch)
+            )
+            for column, values in zip(vectorized, produced):
+                column.extend(numpy.asarray(values).tolist())
+        assert vectorized == out
+    return out
 
 
 class TestAllocator:
@@ -38,9 +76,7 @@ class TestAllocator:
 class TestRegionBase:
     def test_rejects_empty_members(self):
         with pytest.raises(ValueError):
-            PrivateRegion(0x1000, 4, 64, owner=0, pc_base=0x100).access(
-                3, rng()
-            )
+            ReadMostlyRegion(0x1000, 4, 64, members=[], pc_base=0x100)
 
     def test_rejects_zero_blocks(self):
         with pytest.raises(ValueError):
@@ -51,65 +87,73 @@ class TestRegionBase:
                                   pc_base=0x100)
         assert region.size_bytes == 256
         assert region.end == 0x1100
-        assert region.block_address(0) == 0x1000
-        assert region.block_address(5) == region.block_address(1)
+        assert region.members == (0, 1)
 
 
 class TestPrivateRegion:
-    def test_only_owner_allowed(self):
-        region = PrivateRegion(0x1000, 8, 64, owner=2, pc_base=0x100)
-        with pytest.raises(ValueError):
-            region.access(0, rng())
-
     def test_addresses_in_range(self):
         region = PrivateRegion(0x1000, 8, 64, owner=2, pc_base=0x100)
-        r = rng()
-        for _ in range(100):
-            access = region.access(2, r)
-            assert region.base <= access.address < region.end
+        addresses, _, _ = sample(region, [2] * 100)
+        assert all(region.base <= a < region.end for a in addresses)
+        assert all(a % 64 == 0 for a in addresses)
 
     def test_streaming_sweeps_sequentially(self):
         region = PrivateRegion(
             0x1000, 8, 64, owner=0, pc_base=0x100,
             streaming_fraction=1.0,
         )
-        r = rng()
-        addresses = [region.access(0, r).address for _ in range(8)]
-        assert addresses == [0x1000 + 64 * i for i in range(8)]
+        addresses, _, _ = sample(region, [0] * 5, [0] * 6)
+        # The sweep continues across chunks and wraps at the end.
+        assert addresses == [0x1000 + 64 * (i % 8) for i in range(11)]
 
     def test_write_fraction_extremes(self):
-        r = rng()
         all_writes = PrivateRegion(
             0x1000, 8, 64, owner=0, pc_base=0x100, write_fraction=1.0
         )
-        assert all(all_writes.access(0, r).is_write for _ in range(20))
+        assert all(sample(all_writes, [0] * 20)[1])
         all_reads = PrivateRegion(
             0x2000, 8, 64, owner=0, pc_base=0x100, write_fraction=0.0
         )
-        assert not any(all_reads.access(0, r).is_write for _ in range(20))
+        assert not any(sample(all_reads, [0] * 20)[1])
 
 
 class TestMigratoryRegion:
     def test_read_then_write_pairs(self):
         region = MigratoryRegion(0x1000, 4, 64, pool=[0, 1],
                                  pc_base=0x100)
-        r = rng()
-        first = region.access(0, r)
-        second = region.access(0, r)
-        assert not first.is_write and second.is_write
-        assert first.address == second.address
+        addresses, writes, pcs = sample(region, [0, 0])
+        assert writes == [0, 1]
+        assert addresses[0] == addresses[1]
+        assert pcs == [0x100, 0x104]
 
     def test_migration_between_members(self):
         region = MigratoryRegion(0x1000, 4, 64, pool=[0, 1], pc_base=0x100)
-        r = rng()
-        region.access(0, r)
-        handoff = region.access(1, r)  # migrates: read by new holder
-        assert not handoff.is_write
+        _, writes, _ = sample(region, [0, 1])
+        assert writes == [0, 0]  # the handoff is a read by the new node
 
-    def test_non_member_rejected(self):
-        region = MigratoryRegion(0x1000, 4, 64, pool=[0, 1], pc_base=0x100)
-        with pytest.raises(ValueError):
-            region.access(3, rng())
+    @pytest.mark.parametrize(
+        "batches",
+        (
+            ([0, 0, 0, 1, 1, 0, 1, 1, 1, 1],),
+            ([0], [0, 0], [0, 1, 1], [1, 0]),
+            ([2, 2, 2], [2, 2, 3], [3, 3, 3, 2]),
+        ),
+        ids=("one-chunk", "runs-span-chunks", "odd-runs-span-chunks"),
+    )
+    def test_same_node_runs_alternate_read_and_write(self, batches):
+        region = MigratoryRegion(
+            0x1000, 16, 64, pool=[0, 1, 2, 3], pc_base=0x100
+        )
+        addresses, writes, _ = sample(region, *batches)
+        nodes = [node for batch in batches for node in batch]
+        offset = 0
+        for i, node in enumerate(nodes):
+            offset = offset + 1 if i and node == nodes[i - 1] else 0
+            # Read at even run offsets, write at odd ones ...
+            assert writes[i] == offset % 2
+            if writes[i]:
+                # ... and each write stores to the block just read.
+                assert addresses[i] == addresses[i - 1]
 
 
 class TestProducerConsumerRegion:
@@ -117,33 +161,36 @@ class TestProducerConsumerRegion:
         region = ProducerConsumerRegion(
             0x1000, 4, 64, producer=0, consumers=[1], pc_base=0x100
         )
-        r = rng()
-        writes = [region.access(0, r) for _ in range(4)]
-        assert all(w.is_write for w in writes)
-        assert [w.address for w in writes] == [
-            0x1000 + 64 * i for i in range(4)
-        ]
+        addresses, writes, _ = sample(region, [0] * 3, [0] * 3)
+        assert all(writes)
+        assert addresses == [0x1000 + 64 * (i % 4) for i in range(6)]
 
     def test_consumer_reads_behind_producer(self):
         region = ProducerConsumerRegion(
             0x1000, 4, 64, producer=0, consumers=[1], pc_base=0x100
         )
-        r = rng()
-        region.access(0, r)  # producer writes block 0
-        region.access(0, r)  # producer writes block 1
-        read = region.access(1, r)
-        assert not read.is_write
-        assert read.address in (0x1000, 0x1040)
+        # The producer writes blocks 0 and 1; the consumer then reads
+        # block 0 and block 1, and is held behind the write cursor.
+        addresses, writes, _ = sample(region, [0, 0, 1, 1, 1])
+        assert writes == [1, 1, 0, 0, 0]
+        assert addresses[2:] == [0x1000, 0x1040, 0x1040]
 
     def test_consumer_never_reads_at_write_cursor(self):
         region = ProducerConsumerRegion(
-            0x1000, 4, 64, producer=0, consumers=[1], pc_base=0x100
+            0x1000, 4, 64, producer=0, consumers=[1, 2], pc_base=0x100
         )
-        r = rng()
-        for _ in range(20):
-            write = region.access(0, r)
-            read = region.access(1, r)
-            assert read.address != write.address or True  # chases behind
+        batches = ([1, 0, 2, 1], [2, 2, 0, 1, 1, 1], [0, 2, 1, 0] * 5)
+        addresses, writes, _ = sample(region, *batches)
+        nodes = [node for batch in batches for node in batch]
+        write_cursor = 0
+        for node, address, write in zip(nodes, addresses, writes):
+            block = (address - 0x1000) // 64
+            if node == 0:
+                assert write and block == write_cursor
+                write_cursor = (write_cursor + 1) % 4
+            else:
+                assert not write
+                assert block != write_cursor
 
 
 class TestReadMostlyRegion:
@@ -159,17 +206,16 @@ class TestReadMostlyRegion:
             0x1000, 16, 64, members=[0, 1], pc_base=0x100,
             write_fraction=0.05,
         )
-        r = rng()
-        accesses = [region.access(i % 2, r) for i in range(400)]
-        writes = sum(1 for a in accesses if a.is_write)
-        assert writes < 60
+        _, writes, pcs = sample(region, [i % 2 for i in range(400)])
+        assert sum(writes) < 60
+        # Writes come from their own static instruction.
+        assert all((pc == 0x100) == bool(w) for pc, w in zip(pcs, writes))
 
     def test_hot_blocks_dominate(self):
         region = ReadMostlyRegion(
             0x1000, 1024, 64, members=[0], pc_base=0x100,
             write_fraction=0.0,
         )
-        r = rng()
-        addresses = [region.access(0, r).address for _ in range(2000)]
+        addresses, _, _ = sample(region, [0] * 2000)
         hottest = max(set(addresses), key=addresses.count)
         assert addresses.count(hottest) > 2000 // 64
